@@ -11,7 +11,7 @@
 use crate::method::ReconstructionMethod;
 use crate::shyre::rho::RhoStatistics;
 use marioh_core::features::FeatureMode;
-use marioh_core::model::{CliqueScorer, TrainedModel};
+use marioh_core::model::TrainedModel;
 use marioh_core::training::{train_classifier, TrainingConfig};
 use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset};
 use marioh_hypergraph::fxhash::FxHashSet;

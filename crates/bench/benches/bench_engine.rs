@@ -10,8 +10,9 @@
 //!   maintenance, locality-bounded score reuse, patched MHH memo, one
 //!   persistent worker pool.
 //! * **rebuild** — the same engine with carry-over disabled
-//!   (`incremental: false`): re-freezes and re-enumerates every round
-//!   but keeps this PR's pool and within-round MHH patching.
+//!   (`incremental: false`): re-enumerates and re-scores every round and
+//!   rebuilds its MHH memo and ordering, but keeps the persistent pool
+//!   and within-round MHH patching.
 //! * **legacy** — a faithful replica of the pre-engine round (PR 3's
 //!   code): freeze + degeneracy ordering every pass, full Bron–Kerbosch
 //!   every round, a *fresh* lazily-built MHH memo per scoring pass

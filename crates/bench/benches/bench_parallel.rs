@@ -11,8 +11,9 @@ use marioh_core::parallel::score_cliques_round;
 use marioh_core::{Marioh, RoundContext, TrainingConfig};
 use marioh_datasets::PaperDataset;
 use marioh_hypergraph::clique::maximal_cliques;
-use marioh_hypergraph::parallel::maximal_cliques_parallel;
+use marioh_hypergraph::parallel::maximal_cliques_view;
 use marioh_hypergraph::projection::project;
+use marioh_hypergraph::GraphView;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn bench_parallel_cliques(c: &mut Criterion) {
@@ -27,7 +28,7 @@ fn bench_parallel_cliques(c: &mut Criterion) {
     );
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &g, |b, g| {
-            b.iter(|| std::hint::black_box(maximal_cliques_parallel(g, threads)))
+            b.iter(|| std::hint::black_box(maximal_cliques_view(&GraphView::freeze(g), threads)))
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 //! with a genuinely trained classifier:
 //!
 //! * the scoring phase alone, twice — the pre-refactor per-clique path
-//!   (`CliqueScorer::score` against the hash-map graph, exactly what the
+//!   (`TrainedModel::score` against the hash-map graph, exactly what the
 //!   search loop ran before the round-frozen view existed) and the
 //!   view/memo/batched path (`RoundContext` + `score_cliques_round`,
 //!   freeze and MHH-cache cost included) — giving a like-for-like
@@ -18,11 +18,9 @@
 //! writes to `target/BENCH_search.smoke.json` instead, leaving the
 //! committed baseline untouched.
 
-use marioh_core::model::CliqueScorer;
 use marioh_core::parallel::score_cliques_round;
-use marioh_core::search::bidirectional_search_threaded;
 use marioh_core::training::train_classifier;
-use marioh_core::{filtering, CancelToken, RoundContext, TrainingConfig};
+use marioh_core::{filtering, CancelToken, RoundContext, SearchEngine, TrainingConfig};
 use marioh_datasets::registry::PaperDataset;
 use marioh_hypergraph::parallel::maximal_cliques_view;
 use marioh_hypergraph::projection::project;
@@ -103,22 +101,20 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
     for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
         let mut samples = Vec::with_capacity(reps);
         for _ in 0..reps {
-            let mut graph = work.clone();
-            let mut rec = Hypergraph::new(graph.num_nodes());
+            let mut rec = Hypergraph::new(work.num_nodes());
             let mut rng = StdRng::seed_from_u64(7);
             let t = Instant::now();
-            let stats = bidirectional_search_threaded(
-                &mut graph,
-                &model,
-                0.5,
-                20.0,
-                &mut rec,
-                true,
-                threads,
-                &CancelToken::new(),
-                &mut rng,
-            )
-            .expect("fresh token");
+            let stats = SearchEngine::new(&work, threads)
+                .round(
+                    &model,
+                    0.5,
+                    20.0,
+                    &mut rec,
+                    true,
+                    &CancelToken::new(),
+                    &mut rng,
+                )
+                .expect("fresh token");
             samples.push(ms(t));
             std::hint::black_box(stats);
         }

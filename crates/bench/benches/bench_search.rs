@@ -3,17 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use marioh_core::model::FnScorer;
-use marioh_core::search::bidirectional_search;
+use marioh_core::{CancelToken, SearchEngine};
 use marioh_datasets::hypercl::dblp_like;
 use marioh_hypergraph::projection::project;
-use marioh_hypergraph::{Hypergraph, NodeId, ProjectedGraph};
+use marioh_hypergraph::{GraphView, Hypergraph, NodeId};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("bidirectional_search");
     // A size-biased scorer: committing larger cliques first, like the
     // trained classifier tends to.
-    let scorer = FnScorer(|_: &ProjectedGraph, q: &[NodeId]| 1.0 - 1.0 / (q.len() as f64 + 1.0));
+    let scorer = FnScorer(|_: &GraphView, q: &[NodeId]| 1.0 - 1.0 / (q.len() as f64 + 1.0));
     for scale in [0.5, 1.0, 2.0] {
         let mut rng = StdRng::seed_from_u64(3);
         let g = project(&dblp_like(scale, &mut rng));
@@ -22,11 +22,17 @@ fn bench_search(c: &mut Criterion) {
             &g,
             |b, g| {
                 b.iter(|| {
-                    let mut work = g.clone();
+                    let mut engine = SearchEngine::new(g, 1);
                     let mut rec = Hypergraph::new(g.num_nodes());
                     let mut rng = StdRng::seed_from_u64(1);
-                    std::hint::black_box(bidirectional_search(
-                        &mut work, &scorer, 0.5, 20.0, &mut rec, true, &mut rng,
+                    std::hint::black_box(engine.round(
+                        &scorer,
+                        0.5,
+                        20.0,
+                        &mut rec,
+                        true,
+                        &CancelToken::new(),
+                        &mut rng,
                     ))
                 });
             },

@@ -12,7 +12,7 @@
 //! # The dirty-closure invariant
 //!
 //! A commit decrements exactly the edges *inside* the committed clique
-//! `C`, so between two consecutive freezes the changed edges all have
+//! `C`, so between two consecutive rounds the changed edges all have
 //! both endpoints in `C`. Three progressively wider vertex sets bound
 //! what can differ, and each engine structure is invalidated by the
 //! narrowest set that is sound for it:
@@ -70,18 +70,17 @@ use std::time::Instant;
 
 /// A vertex set with O(1) membership and O(|set|) clearing: a flag
 /// array plus the list of marked vertices.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FlagSet {
     flag: Vec<bool>,
     list: Vec<NodeId>,
 }
 
 impl FlagSet {
-    fn reset(&mut self, n: usize) {
-        self.clear();
-        if self.flag.len() != n {
-            self.flag.clear();
-            self.flag.resize(n, false);
+    fn new(n: usize) -> FlagSet {
+        FlagSet {
+            flag: vec![false; n],
+            list: Vec::new(),
         }
     }
 
@@ -106,18 +105,18 @@ impl FlagSet {
 }
 
 /// A run-long bidirectional-search engine: executes rounds of
-/// Algorithm 3 while maintaining the frozen CSR view, the MHH memo, and
-/// the previous round's maximal cliques and scores incrementally across
-/// rounds (see the [module docs](self) for the invalidation rules).
+/// Algorithm 3 against the residual graph it owns, maintaining the CSR
+/// view, the MHH memo, and the previous round's maximal cliques and
+/// scores incrementally across rounds (see the [module docs](self) for
+/// the invalidation rules).
 ///
-/// One engine serves one `(graph, scorer)` run: feed every round the same
-/// working graph (mutated only by the engine's own commits) and the same
-/// scorer. The engine detects a swapped graph via its edge/weight totals
-/// and recovers by re-freezing, but a swapped *scorer* between rounds
-/// would silently reuse the old scorer's carried scores — don't.
+/// The engine freezes its input graph once, at construction, into a
+/// patchable [`GraphView`]; from then on that view is the only working
+/// graph. Every commit decrements it in place, scorers read it, and
+/// [`SearchEngine::residual`] exposes it. One engine serves one
+/// `(graph, scorer)` run: a swapped *scorer* between rounds would
+/// silently reuse the old scorer's carried scores — don't.
 ///
-/// [`crate::search::bidirectional_search_threaded`] wraps a fresh engine
-/// around a single round (exactly the pre-engine behaviour);
 /// [`crate::reconstruct::reconstruct_observed`] keeps one engine for the
 /// whole outer loop.
 pub struct SearchEngine {
@@ -127,24 +126,8 @@ pub struct SearchEngine {
     pin_cores: bool,
     /// Created on first parallel-eligible stage; persists for the run.
     pool: OnceLock<WorkerPool>,
-    /// CSR view patched in step with every commit (while `view_live`).
-    view: Option<GraphView>,
-    /// Whether `view` currently mirrors the graph. A round whose commits
-    /// exceed [`Self::bulk_threshold`] pairs stops patching (validating
-    /// against the hash graph instead, like the pre-engine path) and the
-    /// next view consumer re-freezes once — patching each of `N ≫ E`
-    /// removed pairs individually costs more than one fresh freeze.
-    view_live: bool,
-    /// Pairs patched into the view since the round started.
-    patched_pairs: usize,
-    /// The edge count and total weight `g` must have if it is still the
-    /// graph this engine has been committing into — maintained through
-    /// every decrement (bulk mode included), so a swapped graph is
-    /// detected even while the view snapshot has lapsed.
-    expect_edges: usize,
-    expect_weight: u64,
-    /// Per-round patching budget before the engine goes bulk.
-    bulk_threshold: usize,
+    /// The residual graph: frozen once, decremented by every commit.
+    view: GraphView,
     /// Cached degeneracy ordering and its inverse. Any permutation keeps
     /// enumeration *correct* (emission roots at the min-rank member;
     /// output is sorted); only its efficiency degrades as the graph
@@ -170,48 +153,49 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// A fresh incremental engine fanning out over up to `threads`
-    /// threads (1 = fully serial; results are identical either way).
-    pub fn new(threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(threads, true)
+    /// A fresh incremental engine over `g`, fanning out over up to
+    /// `threads` threads (1 = fully serial; results are identical either
+    /// way).
+    pub fn new(g: &ProjectedGraph, threads: usize) -> SearchEngine {
+        SearchEngine::with_mode(g, threads, true)
     }
 
-    /// An engine that re-freezes and re-enumerates everything every
-    /// round — the pre-engine behaviour, kept for benchmarking and for
-    /// the bit-parity suite. Still uses the persistent worker pool.
-    pub fn full_rebuild(threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(threads, false)
+    /// An engine that re-enumerates and re-scores everything every round
+    /// and rebuilds its MHH memo and ordering from the residual view —
+    /// the parity reference for the incremental path. Still uses the
+    /// persistent worker pool.
+    pub fn full_rebuild(g: &ProjectedGraph, threads: usize) -> SearchEngine {
+        SearchEngine::with_mode(g, threads, false)
     }
 
-    fn with_mode(threads: usize, incremental: bool) -> SearchEngine {
+    fn with_mode(g: &ProjectedGraph, threads: usize, incremental: bool) -> SearchEngine {
+        let view = GraphView::freeze(g);
+        let (order, rank) = ordering(&view);
+        let n = g.num_nodes() as usize;
         SearchEngine {
             threads: threads.max(1),
             incremental,
             pin_cores: false,
             pool: OnceLock::new(),
-            view: None,
-            view_live: false,
-            patched_pairs: 0,
-            expect_edges: 0,
-            expect_weight: 0,
-            bulk_threshold: 0,
-            order: Vec::new(),
-            rank: Vec::new(),
-            edges_at_order: 0,
+            edges_at_order: view.num_edges(),
+            view,
+            order,
+            rank,
             mhh: None,
             prev_cliques: Vec::new(),
             prev_scores: Vec::new(),
             has_prev: false,
-            changed: FlagSet::default(),
-            removed: FlagSet::default(),
-            mhh_stale: FlagSet::default(),
-            closure: FlagSet::default(),
+            changed: FlagSet::new(n),
+            removed: FlagSet::new(n),
+            mhh_stale: FlagSet::new(n),
+            closure: FlagSet::new(n),
         }
     }
 
-    /// Whether this engine carries state across rounds.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
+    /// The residual graph: the input minus one unit per pair of every
+    /// clique committed so far.
+    pub fn residual(&self) -> &GraphView {
+        &self.view
     }
 
     /// The engine's thread budget.
@@ -231,21 +215,20 @@ impl SearchEngine {
             .get_or_init(|| WorkerPool::with_affinity(self.threads, self.pin_cores))
     }
 
-    /// Runs one bidirectional-search round (Algorithm 3) against `g`,
-    /// committing into `reconstruction`. Semantics, statistics, commit
-    /// order and RNG consumption are identical to the historical
-    /// rebuild-every-round implementation.
+    /// Runs one bidirectional-search round (Algorithm 3) against the
+    /// residual graph, committing into `reconstruction`. Semantics,
+    /// statistics, commit order and RNG consumption are identical to the
+    /// historical rebuild-every-round implementation.
     ///
     /// # Errors
     ///
     /// Returns [`MariohError::Cancelled`] if `cancel` fires at the round
-    /// entry or between the two phases; `g` and `reconstruction` may then
-    /// hold partially committed state (callers owning the run discard
-    /// both).
+    /// entry or between the two phases; the residual and
+    /// `reconstruction` may then hold partially committed state (callers
+    /// owning the run discard both).
     #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's parameter list
     pub fn round<R: Rng + ?Sized>(
         &mut self,
-        g: &mut ProjectedGraph,
         scorer: &dyn CliqueScorer,
         theta: f64,
         neg_ratio: f64,
@@ -260,8 +243,14 @@ impl SearchEngine {
         let t0 = Instant::now();
         let mut stats = SearchStats::default();
 
-        self.sync_view(g);
-        let (cliques, scores) = self.cliques_and_scores(g, scorer, &mut stats);
+        if !self.incremental {
+            // Rebuild everything derived from the residual: the memo is
+            // re-built lazily by the first scoring pass.
+            self.reorder();
+            self.mhh = None;
+            self.mhh_stale.clear();
+        }
+        let (cliques, scores) = self.cliques_and_scores(scorer, &mut stats);
         stats.cliques_enumerated = cliques.len();
         if cliques.is_empty() {
             self.store_prev(cliques, scores);
@@ -288,24 +277,10 @@ impl SearchEngine {
         });
 
         // --- Phase 1: most promising cliques ---
-        // If this phase is about to decrement more pairs than the
-        // round's patching budget, skip view maintenance wholesale: one
-        // re-freeze before the next view consumer is cheaper. The naive
-        // pair sum over-counts when positives overlap (later ones fail
-        // validation and decrement nothing), so cap it by the total
-        // weight actually available to remove.
-        let phase1_pairs: usize = positives
-            .iter()
-            .map(|&(_, i)| cliques[i].len() * (cliques[i].len() - 1) / 2)
-            .sum();
-        let phase1_pairs = phase1_pairs.min(g.total_weight() as usize);
-        if self.view_live && self.patched_pairs + phase1_pairs > self.bulk_threshold {
-            self.view_live = false;
-        }
         {
             let _span = marioh_obs::Span::enter("commit");
             for &(_, i) in &positives {
-                if self.try_commit(g, &cliques[i], reconstruction) {
+                if self.try_commit(&cliques[i], reconstruction) {
                     stats.committed_phase1 += 1;
                 }
             }
@@ -336,19 +311,18 @@ impl SearchEngine {
             for k in 2..clique.len() {
                 let sub = sample_k_subset(rng, clique, k);
                 stats.subcliques_sampled += 1;
-                if g.is_clique(&sub) {
+                if self.view.is_clique(&sub) {
                     candidates.push(sub);
                 }
                 // else: an earlier commit removed one of its edges
             }
         }
-        // Phase-1 commits mutated the graph; the engine's view was
-        // patched in step, so the sub-clique pass scores against the
-        // same frozen state a fresh freeze would produce.
+        // Phase-1 commits patched the view, so the sub-clique pass
+        // scores against the same state a fresh freeze would produce.
         let sub_scores = if candidates.is_empty() {
             Vec::new()
         } else {
-            self.score_pass(g, scorer, &candidates)
+            self.score_pass(scorer, &candidates)
         };
         let mut sub_scored: Vec<(f64, Vec<NodeId>)> = sub_scores
             .into_iter()
@@ -360,18 +334,10 @@ impl SearchEngine {
                 .expect("NaN score")
                 .then(a.1.cmp(&b.1))
         });
-        let phase2_pairs: usize = sub_scored
-            .iter()
-            .map(|(_, sub)| sub.len() * (sub.len() - 1) / 2)
-            .sum();
-        let phase2_pairs = phase2_pairs.min(g.total_weight() as usize);
-        if self.view_live && self.patched_pairs + phase2_pairs > self.bulk_threshold {
-            self.view_live = false;
-        }
         {
             let _span = marioh_obs::Span::enter("commit");
             for (_, sub) in &sub_scored {
-                if self.try_commit(g, sub, reconstruction) {
+                if self.try_commit(sub, reconstruction) {
                     stats.committed_phase2 += 1;
                 }
             }
@@ -381,101 +347,32 @@ impl SearchEngine {
         Ok(stats)
     }
 
-    /// Ensures the engine's view mirrors `g` at a round boundary. On the
-    /// first round (or in full-rebuild mode, or after a caller swapped
-    /// graphs) this re-freezes and drops all carried state; after a bulk
-    /// round it re-freezes the view only, keeping cliques/scores/dirt
-    /// (they track the graph, not the view). Also resets the round's
-    /// patching budget.
-    fn sync_view(&mut self, g: &ProjectedGraph) {
-        let in_sync = self.incremental
-            && self.view_live
-            && self.view.as_ref().is_some_and(|v| {
-                v.num_nodes() == g.num_nodes()
-                    && v.num_edges() == g.num_edges()
-                    && v.total_weight() == g.total_weight()
-            });
-        if in_sync {
-            #[cfg(debug_assertions)]
-            {
-                let v = self.view.as_ref().expect("checked above");
-                for u in (0..g.num_nodes()).map(NodeId) {
-                    debug_assert_eq!(v.degree(u), g.degree(u), "view out of sync at {u}");
-                    debug_assert_eq!(v.weighted_degree(u), g.weighted_degree(u));
-                }
-            }
-        } else if self.incremental
-            && !self.view_live
-            && self
-                .view
-                .as_ref()
-                .is_some_and(|v| v.num_nodes() == g.num_nodes())
-            && g.num_edges() == self.expect_edges
-            && g.total_weight() == self.expect_weight
-            && self.has_prev_shape()
-        {
-            // Bulk-round recovery: the graph is still ours — the engine
-            // performed every decrement itself, so the tracked totals
-            // vouch for it even though the view snapshot lapsed. Only
-            // the snapshot needs rebuilding.
-            self.refreeze(g);
-        } else {
-            // First round, full-rebuild mode, or an unfamiliar graph:
-            // drop everything.
-            let n = g.num_nodes() as usize;
-            self.refreeze(g);
-            let (order, rank) = ordering(self.view.as_ref().expect("just frozen"));
-            self.edges_at_order = self.view.as_ref().expect("just frozen").num_edges();
-            self.order = order;
-            self.rank = rank;
-            self.prev_cliques = Vec::new();
-            self.prev_scores = Vec::new();
-            self.has_prev = false;
-            self.changed.reset(n);
-            self.removed.reset(n);
-            self.mhh_stale.reset(n);
-            self.closure.reset(n);
-        }
-        self.patched_pairs = 0;
-        self.bulk_threshold = self.view.as_ref().expect("view set").num_edges() / 4 + 64;
-    }
-
-    /// Whether the engine's carried state plausibly belongs to the
-    /// current run (dirt flag arrays sized, i.e. a first sync happened).
-    fn has_prev_shape(&self) -> bool {
-        !self.changed.flag.is_empty()
-    }
-
-    /// Snapshots `g` into a fresh view; any slot-indexed side state (the
-    /// MHH memo) is layout-bound to the old view and dropped.
-    fn refreeze(&mut self, g: &ProjectedGraph) {
-        self.view = Some(GraphView::freeze(g));
-        self.view_live = true;
-        self.expect_edges = g.num_edges();
-        self.expect_weight = g.total_weight();
-        self.mhh = None;
-        self.mhh_stale.clear();
-    }
-
-    /// Re-freezes mid-round after bulk commits left the view stale (the
-    /// cached ordering stays — any permutation is valid).
-    fn ensure_view_live(&mut self, g: &ProjectedGraph) {
-        if !self.view_live {
-            self.refreeze(g);
-        }
-    }
-
     /// Refreshes the cached degeneracy ordering once the graph has shed
     /// a quarter of its edges since the last one — staleness costs only
     /// BK efficiency, never correctness, so the policy is purely a
     /// perf/amortisation trade-off (and deterministic).
     fn refresh_order(&mut self) {
-        let view = self.view.as_ref().expect("view synced");
-        if view.num_edges() * 4 < self.edges_at_order * 3 {
-            let (order, rank) = ordering(view);
-            self.order = order;
-            self.rank = rank;
-            self.edges_at_order = view.num_edges();
+        if self.view.num_edges() * 4 < self.edges_at_order * 3 {
+            self.reorder();
+        }
+    }
+
+    /// Recomputes the degeneracy ordering of the residual.
+    fn reorder(&mut self) {
+        let (order, rank) = ordering(&self.view);
+        self.order = order;
+        self.rank = rank;
+        self.edges_at_order = self.view.num_edges();
+    }
+
+    /// Enumerates every maximal clique of the residual, fanning out over
+    /// the pool when the graph is large enough to amortise it.
+    fn enumerate_all(&self) -> Vec<Vec<NodeId>> {
+        let _span = marioh_obs::Span::enter("enumeration");
+        if self.threads > 1 && enumeration_parallel_worthwhile(&self.view) {
+            maximal_cliques_ranked_pool(&self.view, &self.order, &self.rank, self.pool())
+        } else {
+            maximal_cliques_ranked(&self.view, &self.order, &self.rank)
         }
     }
 
@@ -485,7 +382,6 @@ impl SearchEngine {
     /// round's snapshot.
     fn cliques_and_scores(
         &mut self,
-        g: &ProjectedGraph,
         scorer: &dyn CliqueScorer,
         stats: &mut SearchStats,
     ) -> (Vec<Vec<NodeId>>, Vec<f64>) {
@@ -497,16 +393,8 @@ impl SearchEngine {
         if !use_prev {
             self.changed.clear();
             self.removed.clear();
-            let view = self.view.as_ref().expect("view synced");
-            let cliques = {
-                let _span = marioh_obs::Span::enter("enumeration");
-                if self.threads > 1 && enumeration_parallel_worthwhile(view) {
-                    maximal_cliques_ranked_pool(view, &self.order, &self.rank, self.pool())
-                } else {
-                    maximal_cliques_ranked(view, &self.order, &self.rank)
-                }
-            };
-            let scores = self.score_pass(g, scorer, &cliques);
+            let cliques = self.enumerate_all();
+            let scores = self.score_pass(scorer, &cliques);
             stats.cliques_rescored = cliques.len();
             return (cliques, scores);
         }
@@ -521,12 +409,11 @@ impl SearchEngine {
         let reuse = locality != ScoreLocality::Global;
         self.closure.clear();
         if reuse {
-            let view = self.view.as_ref().expect("view synced");
             for i in 0..self.changed.list.len() {
                 let u = self.changed.list[i];
                 self.closure.mark(u);
                 if locality == ScoreLocality::TwoHop {
-                    for &v in view.neighbors(u) {
+                    for &v in self.view.neighbors(u) {
                         self.closure.mark(NodeId(v));
                     }
                 }
@@ -540,14 +427,8 @@ impl SearchEngine {
         //    intersects it), or most of the graph (full re-enumeration is
         //    cheaper than region bookkeeping; scores still carry through
         //    a sorted merge-join against the previous list).
-        let removed_incident: usize = {
-            let view = self.view.as_ref().expect("view synced");
-            self.removed.list.iter().map(|&u| view.degree(u)).sum()
-        };
-        let wide_removal = {
-            let view = self.view.as_ref().expect("view synced");
-            removed_incident * 2 >= view.num_edges()
-        };
+        let removed_incident: usize = self.removed.list.iter().map(|&u| self.view.degree(u)).sum();
+        let wide_removal = removed_incident * 2 >= self.view.num_edges();
 
         let mut cliques: Vec<Vec<NodeId>>;
         let mut scores: Vec<f64>;
@@ -568,15 +449,7 @@ impl SearchEngine {
             // (A graph this churned has usually also tripped
             // `refresh_order`'s quarter-loss rule above, so the full BK
             // runs on a recent degeneracy ordering.)
-            let view = self.view.as_ref().expect("view synced");
-            cliques = {
-                let _span = marioh_obs::Span::enter("enumeration");
-                if self.threads > 1 && enumeration_parallel_worthwhile(view) {
-                    maximal_cliques_ranked_pool(view, &self.order, &self.rank, self.pool())
-                } else {
-                    maximal_cliques_ranked(view, &self.order, &self.rank)
-                }
-            };
+            cliques = self.enumerate_all();
             scores = vec![0.0; cliques.len()];
             let mut pi = 0usize;
             for (i, clique) in cliques.iter().enumerate() {
@@ -600,10 +473,9 @@ impl SearchEngine {
             // merge reproduces the full enumeration's order exactly.
             let new_cliques = {
                 let _span = marioh_obs::Span::enter("enumeration");
-                let view = self.view.as_ref().expect("view synced");
                 if self.threads > 1 && removed_incident >= ENUM_PARALLEL_MIN_EDGES {
                     maximal_cliques_region_ranked_pool(
-                        view,
+                        &self.view,
                         &self.rank,
                         &self.removed.list,
                         &self.removed.flag,
@@ -611,7 +483,7 @@ impl SearchEngine {
                     )
                 } else {
                     maximal_cliques_region_ranked(
-                        view,
+                        &self.view,
                         &self.rank,
                         &self.removed.list,
                         &self.removed.flag,
@@ -654,13 +526,13 @@ impl SearchEngine {
         //    → score the list directly; otherwise the stale cliques are
         //    moved out and back (pointer swaps), never cloned.
         if rescore_idx.len() == cliques.len() {
-            scores = self.score_pass(g, scorer, &cliques);
+            scores = self.score_pass(scorer, &cliques);
         } else if !rescore_idx.is_empty() {
             let mut gathered: Vec<Vec<NodeId>> = rescore_idx
                 .iter()
                 .map(|&i| std::mem::take(&mut cliques[i]))
                 .collect();
-            let rescored = self.score_pass(g, scorer, &gathered);
+            let rescored = self.score_pass(scorer, &gathered);
             for (j, &i) in rescore_idx.iter().enumerate() {
                 cliques[i] = std::mem::take(&mut gathered[j]);
                 scores[i] = rescored[j];
@@ -674,24 +546,17 @@ impl SearchEngine {
         (cliques, scores)
     }
 
-    /// Scores one batch against the engine's frozen state, syncing the
-    /// MHH memo first and keeping any memo a lazy scorer builds.
-    fn score_pass(
-        &mut self,
-        g: &ProjectedGraph,
-        scorer: &dyn CliqueScorer,
-        cliques: &[Vec<NodeId>],
-    ) -> Vec<f64> {
+    /// Scores one batch against the residual view, syncing the MHH memo
+    /// first and keeping any memo a lazy scorer builds.
+    fn score_pass(&mut self, scorer: &dyn CliqueScorer, cliques: &[Vec<NodeId>]) -> Vec<f64> {
         let _span = marioh_obs::Span::enter("scoring");
-        self.ensure_view_live(g);
         self.sync_mhh();
         let parallel = self.threads > 1 && score_work(cliques) >= SCORE_PARALLEL_MIN_WORK;
         if parallel {
             // Make sure the pool exists before the context borrows it.
             self.pool();
         }
-        let view = self.view.as_ref().expect("view synced");
-        let mut ctx = RoundContext::with_frozen(g, view, self.mhh.as_ref(), self.threads);
+        let mut ctx = RoundContext::with_frozen(&self.view, self.mhh.as_ref(), self.threads);
         // Lazy MHH builds ride the persistent pool when one exists (it
         // is created lazily by the first parallel-eligible stage — small
         // runs that never fan out keep spawning nothing at all). If the
@@ -724,72 +589,26 @@ impl SearchEngine {
         }
         if let Some(cache) = self.mhh.as_mut() {
             let _span = marioh_obs::Span::enter("mhh_patch");
-            let view = self.view.as_ref().expect("view synced");
-            cache.patch(view, &self.mhh_stale.list, &self.mhh_stale.flag);
+            cache.patch(&self.view, &self.mhh_stale.list, &self.mhh_stale.flag);
         }
         self.mhh_stale.clear();
     }
 
     /// Commits `clique` as a hyperedge if all its edges are still
-    /// present: adds one copy to `reconstruction`, decrements every
-    /// constituent edge in `g` *and* the engine's view, and records the
+    /// present in the residual: adds one copy to `reconstruction`,
+    /// decrements every constituent pair of the view, and records the
     /// dirty vertices. Returns whether the commit happened.
-    ///
-    /// Single-pass: cliqueness is validated wholly against the CSR view
-    /// (kept in step with `g`, so the answer is identical to probing
-    /// `g`), after which every decrement is known to succeed — the
-    /// mutation pass touches each hash-map entry once and can never need
-    /// a rollback.
-    fn try_commit(
-        &mut self,
-        g: &mut ProjectedGraph,
-        clique: &[NodeId],
-        reconstruction: &mut Hypergraph,
-    ) -> bool {
-        if self.view_live && self.patched_pairs > self.bulk_threshold {
-            // This round's commits outweigh a fresh freeze: stop paying
-            // per-pair view maintenance and let the next view consumer
-            // re-freeze once (the pre-engine cost profile, adaptively).
-            self.view_live = false;
+    fn try_commit(&mut self, clique: &[NodeId], reconstruction: &mut Hypergraph) -> bool {
+        if !self.view.is_clique(clique) {
+            return false;
         }
-        if self.view_live {
-            let view = self.view.as_mut().expect("view synced");
-            if !view.is_clique(clique) {
-                return false;
-            }
-            let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
-            reconstruction.add_edge(e);
-            for (i, &u) in clique.iter().enumerate() {
-                for &v in &clique[i + 1..] {
-                    let gone = view.decrement_unit(u, v);
-                    let gone_g = g.decrement_unit(u, v);
-                    debug_assert_eq!(gone, gone_g);
-                    self.patched_pairs += 1;
-                    self.expect_weight -= 1;
-                    if gone {
-                        self.expect_edges -= 1;
-                        self.removed.mark(u);
-                        self.removed.mark(v);
-                    }
-                }
-            }
-        } else {
-            // Bulk mode: the hash graph is the single source of truth
-            // (identical validation answer — the live view only mirrors
-            // it).
-            if !g.is_clique(clique) {
-                return false;
-            }
-            let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
-            reconstruction.add_edge(e);
-            for (i, &u) in clique.iter().enumerate() {
-                for &v in &clique[i + 1..] {
-                    self.expect_weight -= 1;
-                    if g.decrement_unit(u, v) {
-                        self.expect_edges -= 1;
-                        self.removed.mark(u);
-                        self.removed.mark(v);
-                    }
+        let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
+        reconstruction.add_edge(e);
+        for (i, &u) in clique.iter().enumerate() {
+            for &v in &clique[i + 1..] {
+                if self.view.decrement_unit(u, v) {
+                    self.removed.mark(u);
+                    self.removed.mark(v);
                 }
             }
         }
@@ -815,7 +634,7 @@ fn elapsed_ms(t0: Instant) -> f64 {
 mod tests {
     use super::*;
     use crate::model::FnScorer;
-    use crate::search::bidirectional_search_threaded;
+    use marioh_hypergraph::projection::project;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn random_graph(rng: &mut StdRng, n: u32, p: f64) -> ProjectedGraph {
@@ -830,11 +649,20 @@ mod tests {
         g
     }
 
+    /// A hash-map copy of a residual view, to seed a fresh engine.
+    fn thaw(view: &GraphView) -> ProjectedGraph {
+        let mut g = ProjectedGraph::new(view.num_nodes());
+        for (u, v, w) in view.edges() {
+            g.add_edge_weight(u, v, w);
+        }
+        g
+    }
+
     /// A local scorer (pair-weight based), reuse-safe by construction but
     /// declared unsafe via FnScorer's default — so the engine rescans
     /// every clique yet must still match the one-shot path bit for bit.
     fn weight_scorer() -> impl CliqueScorer {
-        FnScorer(|g: &ProjectedGraph, c: &[NodeId]| {
+        FnScorer(|g: &GraphView, c: &[NodeId]| {
             let w: u32 = c
                 .iter()
                 .enumerate()
@@ -842,6 +670,28 @@ mod tests {
                 .sum();
             f64::from(w) / (1.0 + f64::from(w))
         })
+    }
+
+    fn round(
+        engine: &mut SearchEngine,
+        scorer: &dyn CliqueScorer,
+        theta: f64,
+        neg_ratio: f64,
+        rec: &mut Hypergraph,
+        phase2: bool,
+        rng: &mut StdRng,
+    ) -> SearchStats {
+        engine
+            .round(
+                scorer,
+                theta,
+                neg_ratio,
+                rec,
+                phase2,
+                &CancelToken::new(),
+                rng,
+            )
+            .expect("not cancelled")
     }
 
     #[test]
@@ -853,51 +703,59 @@ mod tests {
             let proto = random_graph(&mut seed_rng, n, 0.35);
             for threads in [1, 4] {
                 // Engine run: one engine across all rounds.
-                let mut g_engine = proto.clone();
                 let mut rec_engine = Hypergraph::new(n);
                 let mut rng_engine = StdRng::seed_from_u64(9 + case);
-                let mut engine = SearchEngine::new(threads);
-                // Reference run: a fresh one-shot round each time (the
-                // historical path).
+                let mut engine = SearchEngine::new(&proto, threads);
+                // Reference run: a fresh engine for every round, frozen
+                // from the previous round's residual.
                 let mut g_ref = proto.clone();
                 let mut rec_ref = Hypergraph::new(n);
                 let mut rng_ref = StdRng::seed_from_u64(9 + case);
                 let mut theta = 0.9;
-                for round in 0..12 {
+                for round_no in 0..12 {
                     if g_ref.is_edgeless() {
                         break;
                     }
-                    let stats_e = engine
-                        .round(
-                            &mut g_engine,
-                            &scorer,
-                            theta,
-                            40.0,
-                            &mut rec_engine,
-                            true,
-                            &CancelToken::new(),
-                            &mut rng_engine,
-                        )
-                        .expect("not cancelled");
-                    let stats_r = bidirectional_search_threaded(
-                        &mut g_ref,
+                    let stats_e = round(
+                        &mut engine,
+                        &scorer,
+                        theta,
+                        40.0,
+                        &mut rec_engine,
+                        true,
+                        &mut rng_engine,
+                    );
+                    let mut fresh = SearchEngine::new(&g_ref, threads);
+                    let stats_r = round(
+                        &mut fresh,
                         &scorer,
                         theta,
                         40.0,
                         &mut rec_ref,
                         true,
-                        threads,
-                        &CancelToken::new(),
                         &mut rng_ref,
-                    )
-                    .expect("not cancelled");
-                    assert_eq!(stats_e, stats_r, "round {round} threads {threads}");
-                    assert_eq!(
-                        g_engine.sorted_edge_list(),
-                        g_ref.sorted_edge_list(),
-                        "residual diverged at round {round}"
                     );
-                    assert_eq!(rec_engine, rec_ref, "reconstruction diverged at {round}");
+                    g_ref = thaw(fresh.residual());
+                    assert_eq!(stats_e, stats_r, "round {round_no} threads {threads}");
+                    assert_eq!(
+                        engine.residual().edges().collect::<Vec<_>>(),
+                        g_ref.sorted_edge_list(),
+                        "residual diverged at round {round_no}"
+                    );
+                    assert_eq!(rec_engine, rec_ref, "reconstruction diverged at {round_no}");
+                    // Conservation: every pair's residual weight plus its
+                    // weight in the reconstruction's projection is the
+                    // input weight.
+                    let committed = project(&rec_engine);
+                    for u in (0..n).map(NodeId) {
+                        for v in (u.0 + 1..n).map(NodeId) {
+                            assert_eq!(
+                                engine.residual().weight(u, v) + committed.weight(u, v),
+                                proto.weight(u, v),
+                                "pair ({u}, {v}) not conserved at round {round_no}"
+                            );
+                        }
+                    }
                     theta = (theta - 0.09f64).max(0.0);
                 }
             }
@@ -914,11 +772,9 @@ mod tests {
         }
         struct LocalScorer;
         impl CliqueScorer for LocalScorer {
-            fn score(&self, _: &ProjectedGraph, c: &[NodeId]) -> f64 {
-                if c.contains(&NodeId(0)) {
-                    0.9
-                } else {
-                    0.4
+            fn score_batch(&self, _: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
+                for (c, o) in cliques.iter().zip(out.iter_mut()) {
+                    *o = if c.contains(&NodeId(0)) { 0.9 } else { 0.4 };
                 }
             }
             fn score_locality(&self) -> ScoreLocality {
@@ -927,42 +783,35 @@ mod tests {
         }
         let mut rec = Hypergraph::new(6);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut engine = SearchEngine::new(1);
-        let cancel = CancelToken::new();
-        let s1 = engine
-            .round(
-                &mut g,
-                &LocalScorer,
-                0.5,
-                0.0,
-                &mut rec,
-                false,
-                &cancel,
-                &mut rng,
-            )
-            .unwrap();
+        let mut engine = SearchEngine::new(&g, 1);
+        let s1 = round(
+            &mut engine,
+            &LocalScorer,
+            0.5,
+            0.0,
+            &mut rec,
+            false,
+            &mut rng,
+        );
         assert_eq!(s1.committed_phase1, 1);
         assert_eq!(s1.cliques_rescored, 2, "first round scores everything");
         assert_eq!(s1.cliques_reused, 0);
         // Round 2: {0,1,2} was removed entirely; {3,4,5} is disjoint from
         // the dirty closure, so its clique *and* score are carried.
-        let s2 = engine
-            .round(
-                &mut g,
-                &LocalScorer,
-                0.3,
-                0.0,
-                &mut rec,
-                false,
-                &cancel,
-                &mut rng,
-            )
-            .unwrap();
+        let s2 = round(
+            &mut engine,
+            &LocalScorer,
+            0.3,
+            0.0,
+            &mut rec,
+            false,
+            &mut rng,
+        );
         assert_eq!(s2.cliques_enumerated, 1);
         assert_eq!(s2.cliques_reused, 1);
         assert_eq!(s2.cliques_rescored, 0);
         assert_eq!(s2.committed_phase1, 1);
-        assert!(g.is_edgeless());
+        assert_eq!(engine.residual().num_edges(), 0);
     }
 
     #[test]
@@ -973,107 +822,34 @@ mod tests {
             let n = seed_rng.gen_range(10..25u32);
             let proto = random_graph(&mut seed_rng, n, 0.4);
             let run = |mut engine: SearchEngine| {
-                let mut g = proto.clone();
                 let mut rec = Hypergraph::new(n);
                 let mut rng = StdRng::seed_from_u64(77 + case);
                 let mut theta = 0.8;
                 let mut all = Vec::new();
                 for _ in 0..10 {
-                    if g.is_edgeless() {
+                    if engine.residual().num_edges() == 0 {
                         break;
                     }
-                    let stats = engine
-                        .round(
-                            &mut g,
-                            &scorer,
-                            theta,
-                            30.0,
-                            &mut rec,
-                            true,
-                            &CancelToken::new(),
-                            &mut rng,
-                        )
-                        .unwrap();
-                    all.push(stats);
+                    all.push(round(
+                        &mut engine,
+                        &scorer,
+                        theta,
+                        30.0,
+                        &mut rec,
+                        true,
+                        &mut rng,
+                    ));
                     theta = (theta - 0.2f64).max(0.0);
                 }
-                (g.sorted_edge_list(), rec, all)
+                (engine.residual().edges().collect::<Vec<_>>(), rec, all)
             };
-            let (g_inc, rec_inc, stats_inc) = run(SearchEngine::new(2));
-            let (g_full, rec_full, stats_full) = run(SearchEngine::full_rebuild(2));
+            let (g_inc, rec_inc, stats_inc) = run(SearchEngine::new(&proto, 2));
+            let (g_full, rec_full, stats_full) = run(SearchEngine::full_rebuild(&proto, 2));
             assert_eq!(g_inc, g_full);
             assert_eq!(rec_inc, rec_full);
             assert_eq!(stats_inc, stats_full, "algorithmic stats must agree");
             // The rebuild engine reuses nothing, by definition.
             assert!(stats_full.iter().all(|s| s.cliques_reused == 0));
         }
-    }
-
-    #[test]
-    fn swapped_graph_is_detected_even_after_a_bulk_round() {
-        // A mass-commit round leaves the view snapshot lapsed (bulk
-        // mode); the tracked edge/weight totals must still unmask a
-        // different graph with the same node count, so the engine drops
-        // its carried cliques instead of merging them into the stranger.
-        let scorer = weight_scorer();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut engine = SearchEngine::new(1);
-        let cancel = CancelToken::new();
-        // Dense 6-clique: one round at θ=0 commits heavily → bulk mode.
-        let mut g1 = ProjectedGraph::new(6);
-        for u in 0..6u32 {
-            for v in u + 1..6 {
-                g1.add_edge_weight(NodeId(u), NodeId(v), 1);
-            }
-        }
-        let mut rec = Hypergraph::new(6);
-        engine
-            .round(
-                &mut g1, &scorer, 0.0, 0.0, &mut rec, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // Same node count, different topology/totals.
-        let mut g2 = ProjectedGraph::new(6);
-        g2.add_edge_weight(NodeId(0), NodeId(1), 2);
-        g2.add_edge_weight(NodeId(4), NodeId(5), 1);
-        let mut rec2 = Hypergraph::new(6);
-        let stats = engine
-            .round(
-                &mut g2, &scorer, 0.0, 0.0, &mut rec2, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // Fresh enumeration of g2 only — no clique of g1 leaks in.
-        assert_eq!(stats.cliques_enumerated, 2);
-        assert_eq!(stats.cliques_reused, 0);
-        assert_eq!(stats.committed_phase1, 2);
-    }
-
-    #[test]
-    fn engine_recovers_from_a_swapped_graph() {
-        let scorer = weight_scorer();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut engine = SearchEngine::new(1);
-        let cancel = CancelToken::new();
-        let mut rec = Hypergraph::new(4);
-        let mut g1 = ProjectedGraph::new(4);
-        for (u, v) in [(0, 1), (1, 2), (0, 2)] {
-            g1.add_edge_weight(NodeId(u), NodeId(v), 1);
-        }
-        engine
-            .round(
-                &mut g1, &scorer, 0.0, 0.0, &mut rec, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // A different graph (different totals): the engine re-freezes.
-        let mut g2 = ProjectedGraph::new(4);
-        g2.add_edge_weight(NodeId(2), NodeId(3), 5);
-        let mut rec2 = Hypergraph::new(4);
-        let stats = engine
-            .round(
-                &mut g2, &scorer, 0.0, 0.0, &mut rec2, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        assert_eq!(stats.cliques_enumerated, 1);
-        assert_eq!(stats.cliques_reused, 0);
     }
 }

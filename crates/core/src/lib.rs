@@ -71,36 +71,35 @@
 //!
 //! # The round-frozen invariant
 //!
-//! The working graph is mutated **only between** enumeration/scoring
-//! passes. Within one pass — enumerate the maximal cliques, extract
-//! features, score — every read sees the same edge weights, so each pass
-//! freezes the graph once into a [`RoundContext`]: an immutable CSR
-//! [`marioh_hypergraph::GraphView`] plus a lazily-built per-round
-//! [`mhh::MhhCache`] that computes each edge's MHH at most once no
-//! matter how many overlapping cliques share it. Commits (which
-//! decrement edge weights) happen strictly after a pass's context is
-//! dropped; the sub-clique pass of [`search`] then freezes a fresh
-//! context. The context borrows the graph, so the compiler enforces the
-//! freeze. All scoring paths — serial, threaded, and batched
-//! ([`CliqueScorer::score_batch`]) — are bit-identical by construction
-//! and by test.
+//! The search engine freezes the (filtered) projected graph once into a
+//! CSR [`marioh_hypergraph::GraphView`], and that view is its only
+//! working graph: commits decrement it in place, and scorers read it.
+//! The view is mutated **only between** enumeration/scoring passes.
+//! Within one pass — enumerate the maximal cliques, extract features,
+//! score — every read sees the same edge weights through one
+//! [`RoundContext`]: the view plus a per-round [`mhh::MhhCache`] that
+//! computes each edge's MHH at most once no matter how many overlapping
+//! cliques share it. The context borrows the view, so the compiler
+//! keeps commits out of a pass. All scoring paths — serial, threaded,
+//! and batched ([`CliqueScorer::score_batch`]) — are bit-identical by
+//! construction and by test.
 //!
 //! # The dirty-closure invariant
 //!
 //! Across rounds, the only mutation is a commit decrementing the edges
 //! inside a committed clique `C`. The run-long
 //! [`engine::SearchEngine`] therefore rebuilds nothing wholesale: it
-//! patches the CSR view and MHH memo in place, re-enumerates maximal
-//! cliques only around endpoints of *removed* edges, and re-scores only
-//! cliques intersecting the **dirty closure** `C ∪ N(C)`. The closure
-//! includes *neighbours* of committed vertices because clique features
-//! read common-neighbourhood structure up to two hops — the square-motif
-//! counts of [`FeatureMode::Motif`] inspect edges *between* neighbours,
-//! so a weight change on `(a, b)` can perturb the score of a clique that
-//! merely neighbours `a`. Everything outside the closure is carried over
-//! bit-for-bit; the engine-parity suite proves the incremental and
-//! rebuild-every-round paths identical for every seed, thread count and
-//! variant.
+//! decrements the CSR view and patches the MHH memo in place,
+//! re-enumerates maximal cliques only around endpoints of *removed*
+//! edges, and re-scores only cliques intersecting the **dirty closure**
+//! `C ∪ N(C)`. The closure includes *neighbours* of committed vertices
+//! because clique features read common-neighbourhood structure up to two
+//! hops — the square-motif counts of [`FeatureMode::Motif`] inspect
+//! edges *between* neighbours, so a weight change on `(a, b)` can perturb
+//! the score of a clique that merely neighbours `a`. Everything outside
+//! the closure is carried over bit-for-bit; the engine-parity suite
+//! proves the incremental and rebuild-every-round paths identical for
+//! every seed, thread count and variant.
 
 #![warn(missing_docs)]
 

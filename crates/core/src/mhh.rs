@@ -3,12 +3,14 @@
 //!
 //! Two computation paths produce identical values:
 //!
-//! * [`mhh`] — hash probes against the mutable [`ProjectedGraph`];
-//!   `O(min-degree)` probes per pair. Used by one-off queries.
+//! * [`mhh`] — hash probes against a [`ProjectedGraph`];
+//!   `O(min-degree)` probes per pair. Used by one-off queries and the
+//!   per-clique [`crate::TrainedModel::score`] reference.
 //! * [`mhh_view`] / [`MhhCache`] — sorted-merge intersection over a
-//!   round-frozen [`GraphView`]. The cache computes every edge's MHH at
-//!   most once per round, which is what makes clique scoring cheap:
-//!   overlapping cliques share most of their pairs.
+//!   [`GraphView`], such as the search engine's residual. The cache
+//!   computes every edge's MHH at most once per round, which is what
+//!   makes clique scoring cheap: overlapping cliques share most of their
+//!   pairs.
 //!
 //! Both are exact integer sums over the same set of common neighbours,
 //! so they agree bit-for-bit (property-tested).

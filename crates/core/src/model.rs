@@ -2,7 +2,7 @@
 
 use crate::features::{extract, extract_into, FeatureMode, FeatureScratch};
 use crate::round::RoundContext;
-use marioh_hypergraph::{NodeId, ProjectedGraph};
+use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph};
 use marioh_ml::{Mlp, StandardScaler};
 
 /// Anything that can score a clique's likelihood of being a hyperedge.
@@ -13,27 +13,17 @@ use marioh_ml::{Mlp, StandardScaler};
 /// search loop fans scoring out across threads when
 /// [`crate::MariohConfig::threads`] is above 1.
 pub trait CliqueScorer: Sync {
-    /// Predicted probability (in `[0, 1]`) that `clique` is a hyperedge of
-    /// the original hypergraph, judged against the current graph `g`.
-    fn score(&self, g: &ProjectedGraph, clique: &[NodeId]) -> f64;
-
-    /// Scores a batch of cliques against one round-frozen context,
-    /// writing `out[i] = score of cliques[i]`. The default falls back to
-    /// per-clique [`CliqueScorer::score`] against the context's source
-    /// graph; [`TrainedModel`] overrides it with the zero-alloc
-    /// view/memo/batched-MLP path. Implementations must be bit-identical
-    /// to the per-clique path — the search loop relies on that to keep
-    /// results independent of batching and thread count.
+    /// Scores a batch of cliques against one frozen context, writing
+    /// `out[i]` = the predicted probability (in `[0, 1]`) that
+    /// `cliques[i]` is a hyperedge of the original hypergraph, judged
+    /// against the context's view. Implementations must be pure — the
+    /// search loop splits batches across threads and relies on scores
+    /// being independent of batching and thread count.
     ///
     /// # Panics
     ///
     /// Implementations may panic when `cliques.len() != out.len()`.
-    fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
-        debug_assert_eq!(cliques.len(), out.len());
-        for (c, o) in cliques.iter().zip(out.iter_mut()) {
-            *o = self.score(round.graph(), c);
-        }
-    }
+    fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]);
 
     /// How far from the clique this scorer's inputs reach — the contract
     /// that lets the cross-round [`crate::engine::SearchEngine`] carry
@@ -85,15 +75,20 @@ impl TrainedModel {
     pub fn feature_mode(&self) -> FeatureMode {
         self.mode
     }
-}
 
-impl CliqueScorer for TrainedModel {
-    fn score(&self, g: &ProjectedGraph, clique: &[NodeId]) -> f64 {
+    /// Scores one clique against a hash-map graph: per-clique feature
+    /// extraction and one MLP forward pass. Bit-identical to
+    /// [`CliqueScorer::score_batch`] on a view frozen from `g`; the
+    /// SHyRe baseline scores candidates this way, and the parity suites
+    /// use it as the reference.
+    pub fn score(&self, g: &ProjectedGraph, clique: &[NodeId]) -> f64 {
         let mut feats = extract(self.mode, g, clique);
         self.scaler.transform_in_place(&mut feats);
         self.mlp.predict(&feats)
     }
+}
 
+impl CliqueScorer for TrainedModel {
     fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
         assert_eq!(cliques.len(), out.len(), "cliques/out length mismatch");
         let dim = self.mode.dim();
@@ -129,12 +124,15 @@ impl CliqueScorer for TrainedModel {
     }
 }
 
-/// A scorer backed by a closure — test/diagnostic helper.
-pub struct FnScorer<F: Fn(&ProjectedGraph, &[NodeId]) -> f64 + Sync>(pub F);
+/// A scorer backed by a per-clique closure over the frozen view —
+/// test/diagnostic helper.
+pub struct FnScorer<F: Fn(&GraphView, &[NodeId]) -> f64 + Sync>(pub F);
 
-impl<F: Fn(&ProjectedGraph, &[NodeId]) -> f64 + Sync> CliqueScorer for FnScorer<F> {
-    fn score(&self, g: &ProjectedGraph, clique: &[NodeId]) -> f64 {
-        (self.0)(g, clique)
+impl<F: Fn(&GraphView, &[NodeId]) -> f64 + Sync> CliqueScorer for FnScorer<F> {
+    fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
+        for (c, o) in cliques.iter().zip(out.iter_mut()) {
+            *o = (self.0)(round.view(), c);
+        }
     }
 }
 
@@ -145,14 +143,15 @@ mod tests {
 
     #[test]
     fn fn_scorer_delegates() {
-        let s = FnScorer(|_g: &ProjectedGraph, c: &[NodeId]| c.len() as f64 / 10.0);
-        let g = ProjectedGraph::new(3);
-        assert_eq!(s.score(&g, &[NodeId(0), NodeId(1)]), 0.2);
+        let s = FnScorer(|_: &GraphView, c: &[NodeId]| c.len() as f64 / 10.0);
+        let round = RoundContext::new(&ProjectedGraph::new(3));
+        let mut out = [0.0];
+        s.score_batch(&round, &[vec![NodeId(0), NodeId(1)]], &mut out);
+        assert_eq!(out, [0.2]);
     }
 
     #[test]
     fn trained_model_batch_matches_per_clique_bitwise() {
-        use crate::round::RoundContext;
         use crate::training::{train_classifier, TrainingConfig};
         use marioh_hypergraph::{clique::maximal_cliques, hyperedge::edge, projection::project};
 

@@ -134,6 +134,7 @@ pub fn score_cliques_pool(
 mod tests {
     use super::*;
     use crate::model::FnScorer;
+    use marioh_hypergraph::GraphView;
 
     fn ring_graph(n: u32) -> ProjectedGraph {
         let mut g = ProjectedGraph::new(n);
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn parallel_scores_match_serial() {
         let g = ring_graph(8);
-        let scorer = FnScorer(|_: &ProjectedGraph, c: &[NodeId]| {
+        let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| {
             c.iter().map(|n| f64::from(n.0)).sum::<f64>() / 100.0
         });
         let cliques: Vec<Vec<NodeId>> = (0..500u32)
@@ -170,7 +171,7 @@ mod tests {
         // output offset.
         let g = ring_graph(64);
         let scorer =
-            FnScorer(|_: &ProjectedGraph, c: &[NodeId]| c.len() as f64 * 1e3 + f64::from(c[0].0));
+            FnScorer(|_: &GraphView, c: &[NodeId]| c.len() as f64 * 1e3 + f64::from(c[0].0));
         let cliques: Vec<Vec<NodeId>> = (0..700u32)
             .map(|i| {
                 let len = if i < 30 { 20 } else { 2 };
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn small_batches_run_serially_but_identically() {
         let g = ring_graph(5);
-        let scorer = FnScorer(|_: &ProjectedGraph, c: &[NodeId]| c.len() as f64);
+        let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| c.len() as f64);
         let cliques = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(1), NodeId(2)]];
         assert_eq!(score_cliques(&scorer, &g, &cliques, 8), vec![2.0, 2.0]);
     }
@@ -206,7 +207,7 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let g = ring_graph(3);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 1.0);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 1.0);
         assert!(score_cliques(&scorer, &g, &[], 4).is_empty());
         let pool = WorkerPool::new(4);
         let round = RoundContext::new(&g);

@@ -217,7 +217,6 @@ impl TrainedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CliqueScorer;
     use crate::training::{train_classifier, TrainingConfig};
     use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph, NodeId};
     use rand::{rngs::StdRng, SeedableRng};
@@ -306,6 +305,48 @@ mod tests {
         let back = SavedModel::read_from(v1.as_bytes()).unwrap();
         assert_eq!(back.rng_state, None);
         assert_eq!(back.model.feature_mode(), model.feature_mode());
+    }
+
+    /// The saved model's lines with the first value of line `at`
+    /// replaced by `value`.
+    fn with_first_value(at: impl Fn(&[&str]) -> usize, value: &str) -> String {
+        let (model, _) = trained();
+        let mut buf = Vec::new();
+        model.write_to(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let i = at(&lines);
+        let edited = lines[i].replacen(lines[i].split(' ').next().unwrap(), value, 1);
+        lines[i] = &edited;
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn non_finite_weights_are_a_model_format_error() {
+        // The first weight of the last layer: the line after the last
+        // `layer` header.
+        let last_weights = |lines: &[&str]| {
+            1 + lines
+                .iter()
+                .rposition(|l| l.starts_with("layer "))
+                .expect("layers")
+        };
+        for value in ["NaN", "inf", "-inf"] {
+            let err = TrainedModel::read_from(with_first_value(last_weights, value).as_bytes())
+                .expect_err("non-finite weight");
+            assert!(matches!(err, MariohError::ModelFormat(_)), "{value}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_std_is_a_model_format_error() {
+        // Line 3 holds the scaler's standard deviations (after the model
+        // header, the scaler header and the means).
+        for value in ["0", "-1.5", "NaN"] {
+            let err = TrainedModel::read_from(with_first_value(|_| 3, value).as_bytes())
+                .expect_err("bad std");
+            assert!(matches!(err, MariohError::ModelFormat(_)), "{value}: {err}");
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     if cancel.is_cancelled() {
         return Err(MariohError::Cancelled);
     }
-    let mut work = if cfg.use_filtering {
+    let filtered = if cfg.use_filtering {
         let t0 = std::time::Instant::now();
         let (g2, stats) = {
             let _span = marioh_obs::Span::enter("filtering");
@@ -143,30 +143,32 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
         report.filtering_secs = t0.elapsed().as_secs_f64();
         observer.on_filtering_done(&stats, report.filtering_secs);
         report.filter_stats = Some(stats);
-        g2
+        Some(g2)
     } else {
-        g.clone()
+        None
     };
 
     let mut theta = cfg.theta_init;
     let t0 = std::time::Instant::now();
     let mut stall_rounds = 0usize;
     let mut total_committed = 0usize;
-    // One engine for the whole run: the CSR view, MHH memo, worker pool
-    // and previous round's cliques/scores persist across rounds (commits
+    // One engine for the whole run: it freezes the (filtered) graph once
+    // and owns the residual from then on; the MHH memo, worker pool and
+    // previous round's cliques/scores persist across rounds (commits
     // invalidate only their dirty closure). Bit-identical to rebuilding
     // per round — `incremental: false` forces the rebuild path.
+    let work = filtered.as_ref().unwrap_or(g);
     let mut engine = if cfg.incremental {
-        SearchEngine::new(cfg.threads)
+        SearchEngine::new(work, cfg.threads)
     } else {
-        SearchEngine::full_rebuild(cfg.threads)
+        SearchEngine::full_rebuild(work, cfg.threads)
     };
+    drop(filtered);
     engine.set_pin_cores(cfg.pin_cores);
-    while !work.is_edgeless() && report.rounds.len() < cfg.max_iterations {
+    while engine.residual().num_edges() > 0 && report.rounds.len() < cfg.max_iterations {
         let stats = {
             let _span = marioh_obs::Span::enter("round");
             engine.round(
-                &mut work,
                 scorer,
                 theta,
                 cfg.neg_ratio,
@@ -388,12 +390,12 @@ mod tests {
     use super::*;
     use crate::model::FnScorer;
     use marioh_hypergraph::metrics::{jaccard, multi_jaccard};
-    use marioh_hypergraph::{hyperedge::edge, projection::project, NodeId};
+    use marioh_hypergraph::{hyperedge::edge, projection::project, GraphView, NodeId};
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Oracle scorer: 1 for true hyperedges of `truth`, small otherwise.
     fn oracle(truth: &Hypergraph) -> impl CliqueScorer + '_ {
-        FnScorer(move |_: &ProjectedGraph, c: &[NodeId]| {
+        FnScorer(move |_: &GraphView, c: &[NodeId]| {
             let e = marioh_hypergraph::Hyperedge::new(c.iter().copied()).unwrap();
             if truth.contains(&e) {
                 0.99
@@ -440,7 +442,7 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
         let g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.0);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.0);
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = MariohConfig {
             max_iterations: 500,
@@ -460,7 +462,7 @@ mod tests {
         h.add_edge(edge(&[1, 2]));
         h.add_edge(edge(&[3, 4]));
         let g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.001);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.001);
         let mut rng = StdRng::seed_from_u64(3);
         let (rec, _) = reconstruct_with_report(&g, &scorer, &MariohConfig::default(), &mut rng);
         // Total projected weight of reconstruction equals the input's.
@@ -472,7 +474,7 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge_with_multiplicity(edge(&[0, 1]), 2);
         let g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.99);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.99);
         let mut rng = StdRng::seed_from_u64(4);
         let no_filter = MariohConfig {
             use_filtering: false,

@@ -1,25 +1,26 @@
-//! The round-frozen scoring context shared by one enumeration/scoring
-//! pass.
+//! The frozen scoring context shared by one enumeration/scoring pass.
 //!
 //! # The round-frozen invariant
 //!
-//! The bidirectional search mutates the working graph only *between*
+//! The bidirectional search mutates the residual graph only *between*
 //! passes: it enumerates and scores against one consistent set of
-//! weights, then commits (decrementing edges), then freezes again for the
-//! sub-clique pass. [`RoundContext`] reifies that window: it snapshots
-//! the graph into a CSR [`GraphView`] once, and lazily attaches the
-//! per-round [`MhhCache`] so each edge's MHH is computed at most once per
-//! pass regardless of how many overlapping cliques share it.
+//! weights, then commits (decrementing edges), then scores again for the
+//! sub-clique pass. [`RoundContext`] reifies that window: a CSR
+//! [`GraphView`] plus a lazily attached [`MhhCache`], so each edge's MHH
+//! is computed at most once per pass regardless of how many overlapping
+//! cliques share it.
 //!
 //! Two ways to build one:
 //!
-//! * [`RoundContext::new`] / [`RoundContext::with_threads`] — freeze the
-//!   graph now, owning the view (one-shot callers: filtering, benches,
-//!   the standalone search round).
-//! * [`RoundContext::with_frozen`] — borrow a view (and optionally an MHH
-//!   memo) that the caller keeps **patched in step with the graph** across
-//!   rounds. This is the cross-round engine's path: the freeze is paid
-//!   once per run, and each round's context is just a pair of borrows.
+//! * [`RoundContext::new`] / [`RoundContext::with_threads`] — freeze a
+//!   [`ProjectedGraph`] now, owning the view (one-shot callers:
+//!   filtering, training, benches).
+//! * [`RoundContext::with_frozen`] — borrow the residual view (and
+//!   optionally an MHH memo) of the cross-round
+//!   [`crate::engine::SearchEngine`], which patches both with every
+//!   commit. The freeze is paid once per run, and each pass's context is
+//!   just a pair of borrows; the borrow keeps the engine from committing
+//!   while a pass reads the view.
 //!
 //! Everything inside a context is immutable, so any number of scoring
 //! workers can share one `&RoundContext`.
@@ -40,14 +41,9 @@ enum MhhSrc<'g> {
     Shared(&'g MhhCache),
 }
 
-/// One scoring pass's frozen state: the source graph, its CSR view, and
-/// an MHH memo (lazily built, or borrowed from a cross-round engine).
-///
-/// The borrow of the source graph statically enforces the freeze: while a
-/// context is alive the graph cannot be mutated, so the view and cache
-/// can never go stale.
+/// One scoring pass's frozen state: a CSR view and an MHH memo (lazily
+/// built, or borrowed from a cross-round engine).
 pub struct RoundContext<'g> {
-    g: &'g ProjectedGraph,
     view: ViewSrc<'g>,
     threads: usize,
     /// A persistent pool for the lazy MHH build (spawns scoped threads
@@ -58,14 +54,13 @@ pub struct RoundContext<'g> {
 
 impl<'g> RoundContext<'g> {
     /// Freezes `g` for one pass (single-threaded cache construction).
-    pub fn new(g: &'g ProjectedGraph) -> Self {
+    pub fn new(g: &ProjectedGraph) -> Self {
         RoundContext::with_threads(g, 1)
     }
 
     /// Freezes `g`, remembering `threads` for the MHH-cache build.
-    pub fn with_threads(g: &'g ProjectedGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &ProjectedGraph, threads: usize) -> Self {
         RoundContext {
-            g,
             view: ViewSrc::Owned(GraphView::freeze(g)),
             threads: threads.max(1),
             pool: None,
@@ -73,28 +68,16 @@ impl<'g> RoundContext<'g> {
         }
     }
 
-    /// Wraps an externally maintained frozen state: `view` must reflect
-    /// `g` exactly (every accessor equal), and `mhh`, when given, must be
-    /// consistent with `view`. The cross-round engine upholds this by
-    /// patching both in step with every commit; a violation is caught by
-    /// the cheap invariant checks here (debug builds check edge/weight
-    /// totals).
+    /// Wraps an externally maintained view; `mhh`, when given, must be
+    /// consistent with it. The cross-round engine upholds this by
+    /// patching both with every commit.
     ///
     /// With `mhh: None` the memo is still lazily built on first request —
     /// from the *patched* view, so its values are identical to a fresh
     /// freeze-and-build. [`RoundContext::take_mhh`] lets the caller keep
     /// that build for later rounds.
-    pub fn with_frozen(
-        g: &'g ProjectedGraph,
-        view: &'g GraphView,
-        mhh: Option<&'g MhhCache>,
-        threads: usize,
-    ) -> Self {
-        debug_assert_eq!(view.num_nodes(), g.num_nodes());
-        debug_assert_eq!(view.num_edges(), g.num_edges());
-        debug_assert_eq!(view.total_weight(), g.total_weight());
+    pub fn with_frozen(view: &'g GraphView, mhh: Option<&'g MhhCache>, threads: usize) -> Self {
         RoundContext {
-            g,
             view: ViewSrc::Shared(view),
             threads: threads.max(1),
             pool: None,
@@ -112,12 +95,6 @@ impl<'g> RoundContext<'g> {
     pub fn with_pool(mut self, pool: &'g WorkerPool) -> Self {
         self.pool = Some(pool);
         self
-    }
-
-    /// The source graph (for scorers that predate the view path).
-    #[inline]
-    pub fn graph(&self) -> &ProjectedGraph {
-        self.g
     }
 
     /// The frozen CSR view.
@@ -182,7 +159,7 @@ mod tests {
         g.add_edge_weight(NodeId(1), NodeId(2), 3);
         let view = GraphView::freeze(&g);
         let cache = MhhCache::build(&view, 1);
-        let ctx = RoundContext::with_frozen(&g, &view, Some(&cache), 2);
+        let ctx = RoundContext::with_frozen(&view, Some(&cache), 2);
         assert!(std::ptr::eq(ctx.view(), &view));
         assert!(std::ptr::eq(ctx.mhh_cache(), &cache));
         assert!(ctx.take_mhh().is_none(), "borrowed memo is not handed back");
@@ -194,8 +171,8 @@ mod tests {
         g.add_edge_weight(NodeId(0), NodeId(1), 2);
         g.add_edge_weight(NodeId(0), NodeId(2), 1);
         let view = GraphView::freeze(&g);
-        let ctx = RoundContext::with_frozen(&g, &view, None, 1);
-        let never_requested = RoundContext::with_frozen(&g, &view, None, 1);
+        let ctx = RoundContext::with_frozen(&view, None, 1);
+        let never_requested = RoundContext::with_frozen(&view, None, 1);
         assert!(never_requested.take_mhh().is_none());
         let expected = ctx.mhh_cache().get(&view, NodeId(0), NodeId(1));
         assert_eq!(expected, Some(crate::mhh::mhh(&g, NodeId(0), NodeId(1))));

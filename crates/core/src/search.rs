@@ -1,26 +1,17 @@
 //! Bidirectional search over clique candidates (Algorithm 3).
 //!
-//! One invocation = one round of the outer loop: enumerate the maximal
-//! cliques of the intermediate graph, commit the high-scoring ones
-//! (Phase 1), then probe random sub-cliques of the lowest-scoring r%
-//! (Phase 2). Committing a clique decrements all its edge weights by one,
-//! so later candidates may no longer exist — exactly the behaviour shown
-//! in Fig. 3 (clique (B) disappearing after (A) is taken).
+//! One round of the outer loop enumerates the maximal cliques of the
+//! residual graph, commits the high-scoring ones (Phase 1), then probes
+//! random sub-cliques of the lowest-scoring r% (Phase 2). Committing a
+//! clique decrements all its edge weights by one, so later candidates
+//! may no longer exist — exactly the behaviour shown in Fig. 3 (clique
+//! (B) disappearing after (A) is taken).
 //!
-//! The round itself is executed by [`crate::engine::SearchEngine`] —
-//! the functions here wrap a *fresh* engine around a single round, which
-//! reproduces the historical freeze-enumerate-score-commit behaviour
-//! exactly. Callers running many rounds (the outer loop) keep one engine
-//! alive instead and get cross-round clique/score reuse for free.
+//! Rounds are executed by [`crate::engine::SearchEngine::round`]; a
+//! single round is an engine built over the graph and run once. This
+//! module holds the per-round statistics.
 
-use crate::engine::SearchEngine;
-use crate::error::MariohError;
-use crate::model::CliqueScorer;
-use crate::progress::CancelToken;
-use marioh_hypergraph::{Hypergraph, ProjectedGraph};
-use rand::Rng;
-
-/// Statistics reported by one [`bidirectional_search`] round.
+/// Statistics reported by one [`crate::engine::SearchEngine::round`].
 ///
 /// Equality (and the derived hash of nothing — there is none) covers the
 /// **algorithmic** fields only: `round_ms` varies run to run, and the
@@ -57,95 +48,60 @@ impl PartialEq for SearchStats {
 
 impl Eq for SearchStats {}
 
-/// Runs one bidirectional-search round (Algorithm 3).
-///
-/// * `theta` — classification threshold for "promising".
-/// * `neg_ratio` — the `r` parameter in percent (0–100): the share of
-///   non-promising cliques whose sub-cliques are probed.
-/// * `phase2` — set `false` to reproduce the MARIOH-B ablation (skip the
-///   least-promising phase entirely).
-pub fn bidirectional_search<R: Rng + ?Sized>(
-    g: &mut ProjectedGraph,
-    scorer: &dyn CliqueScorer,
-    theta: f64,
-    neg_ratio: f64,
-    reconstruction: &mut Hypergraph,
-    phase2: bool,
-    rng: &mut R,
-) -> SearchStats {
-    bidirectional_search_threaded(
-        g,
-        scorer,
-        theta,
-        neg_ratio,
-        reconstruction,
-        phase2,
-        1,
-        &CancelToken::new(),
-        rng,
-    )
-    .expect("fresh cancel token: a round cannot be cancelled")
-}
-
-/// [`bidirectional_search`] with explicit parallelism and cooperative
-/// cancellation: clique enumeration and clique scoring fan out over
-/// `threads` threads, and `cancel` is polled at the entry and between the
-/// two phases. Results are identical to the serial round for any thread
-/// count (both stages are pure; the commit order stays deterministic).
-///
-/// # Errors
-///
-/// Returns [`MariohError::Cancelled`] if `cancel` fires. `g` and
-/// `reconstruction` may then hold partially committed state — callers
-/// owning the run (the outer loop) discard both on cancellation.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's parameter list
-pub fn bidirectional_search_threaded<R: Rng + ?Sized>(
-    g: &mut ProjectedGraph,
-    scorer: &dyn CliqueScorer,
-    theta: f64,
-    neg_ratio: f64,
-    reconstruction: &mut Hypergraph,
-    phase2: bool,
-    threads: usize,
-    cancel: &CancelToken,
-    rng: &mut R,
-) -> Result<SearchStats, MariohError> {
-    let mut engine = SearchEngine::new(threads);
-    engine.round(
-        g,
-        scorer,
-        theta,
-        neg_ratio,
-        reconstruction,
-        phase2,
-        cancel,
-        rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FnScorer;
-    use marioh_hypergraph::{hyperedge::edge, projection::project, NodeId};
+    use crate::engine::SearchEngine;
+    use crate::error::MariohError;
+    use crate::model::{CliqueScorer, FnScorer};
+    use crate::progress::CancelToken;
+    use marioh_hypergraph::{
+        hyperedge::edge, projection::project, GraphView, Hypergraph, NodeId, ProjectedGraph,
+    };
     use rand::{rngs::StdRng, SeedableRng};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
     }
 
+    /// Runs one round on a fresh engine over `g`, returning the stats,
+    /// the engine (whose residual is the graph after the round) and the
+    /// reconstruction.
+    fn one_round(
+        g: &ProjectedGraph,
+        scorer: &dyn CliqueScorer,
+        theta: f64,
+        neg_ratio: f64,
+        phase2: bool,
+        threads: usize,
+        seed: u64,
+    ) -> (SearchStats, SearchEngine, Hypergraph) {
+        let mut engine = SearchEngine::new(g, threads);
+        let mut rec = Hypergraph::new(0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stats = engine
+            .round(
+                scorer,
+                theta,
+                neg_ratio,
+                &mut rec,
+                phase2,
+                &CancelToken::new(),
+                &mut rng,
+            )
+            .expect("not cancelled");
+        (stats, engine, rec)
+    }
+
     #[test]
     fn commits_high_scoring_maximal_clique() {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
-        let mut g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.99);
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let stats = bidirectional_search(&mut g, &scorer, 0.5, 20.0, &mut rec, true, &mut rng);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.99);
+        let (stats, engine, rec) = one_round(&project(&h), &scorer, 0.5, 20.0, true, 1, 0);
         assert_eq!(stats.committed_phase1, 1);
         assert!(rec.contains(&edge(&[0, 1, 2])));
-        assert!(g.is_edgeless());
+        assert_eq!(engine.residual().num_edges(), 0);
     }
 
     #[test]
@@ -159,7 +115,7 @@ mod tests {
         }
         // Score {0,1,2} above {1,2,3}.
         let scorer = FnScorer(
-            |_: &ProjectedGraph, c: &[NodeId]| {
+            |_: &GraphView, c: &[NodeId]| {
                 if c.contains(&NodeId(0)) {
                     0.9
                 } else {
@@ -167,15 +123,13 @@ mod tests {
                 }
             },
         );
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let stats = bidirectional_search(&mut g, &scorer, 0.5, 100.0, &mut rec, true, &mut rng);
+        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, true, 1, 0);
         assert_eq!(stats.committed_phase1, 1);
         assert!(rec.contains(&edge(&[0, 1, 2])));
         assert!(!rec.contains(&edge(&[1, 2, 3])));
         // Edges (1,3), (2,3) survive for later rounds.
-        assert!(g.has_edge(n(1), n(3)));
-        assert!(g.has_edge(n(2), n(3)));
+        assert!(engine.residual().has_edge(n(1), n(3)));
+        assert!(engine.residual().has_edge(n(2), n(3)));
     }
 
     #[test]
@@ -187,7 +141,7 @@ mod tests {
             g.add_edge_weight(n(u), n(v), 1);
         }
         let scorer = FnScorer(
-            |_: &ProjectedGraph, c: &[NodeId]| {
+            |_: &GraphView, c: &[NodeId]| {
                 if c.len() == 3 {
                     0.1
                 } else {
@@ -195,9 +149,7 @@ mod tests {
                 }
             },
         );
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let stats = bidirectional_search(&mut g, &scorer, 0.5, 100.0, &mut rec, true, &mut rng);
+        let (stats, _, rec) = one_round(&g, &scorer, 0.5, 100.0, true, 1, 1);
         assert_eq!(stats.committed_phase1, 0);
         assert_eq!(stats.committed_phase2, 1);
         assert_eq!(rec.total_edge_count(), 1);
@@ -211,13 +163,11 @@ mod tests {
         for (u, v) in [(0, 1), (0, 2), (1, 2)] {
             g.add_edge_weight(n(u), n(v), 1);
         }
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.1);
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let stats = bidirectional_search(&mut g, &scorer, 0.5, 100.0, &mut rec, false, &mut rng);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.1);
+        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, false, 1, 1);
         assert_eq!(stats.subcliques_sampled, 0);
         assert_eq!(rec.total_edge_count(), 0);
-        assert_eq!(g.num_edges(), 3); // untouched
+        assert_eq!(engine.residual().num_edges(), 3); // untouched
     }
 
     #[test]
@@ -231,7 +181,7 @@ mod tests {
             }
         }
         let scorer = FnScorer(
-            |_: &ProjectedGraph, c: &[NodeId]| {
+            |_: &GraphView, c: &[NodeId]| {
                 if c.len() == 3 {
                     0.1
                 } else {
@@ -239,9 +189,7 @@ mod tests {
                 }
             },
         );
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let stats = bidirectional_search(&mut g, &scorer, 0.5, 10.0, &mut rec, true, &mut rng);
+        let (stats, _, _) = one_round(&g, &scorer, 0.5, 10.0, true, 1, 2);
         // One clique probed, one sub-clique per k ∈ {2}.
         assert_eq!(stats.subcliques_sampled, 1);
     }
@@ -252,7 +200,7 @@ mod tests {
         // A messy random graph plus a score depending on clique content:
         // the threaded round must produce the same commits, stats and
         // final graph as the serial one.
-        let scorer = FnScorer(|g: &ProjectedGraph, c: &[NodeId]| {
+        let scorer = FnScorer(|g: &GraphView, c: &[NodeId]| {
             let w: u32 = c
                 .iter()
                 .enumerate()
@@ -272,33 +220,15 @@ mod tests {
                 }
             }
             let run = |threads: usize| {
-                let mut g = proto.clone();
-                let mut rec = Hypergraph::new(n);
-                let mut rng = StdRng::seed_from_u64(5);
-                let stats = bidirectional_search_threaded(
-                    &mut g,
-                    &scorer,
-                    0.5,
-                    50.0,
-                    &mut rec,
-                    true,
-                    threads,
-                    &CancelToken::new(),
-                    &mut rng,
-                )
-                .expect("not cancelled");
-                (g, rec, stats)
+                let (stats, engine, rec) = one_round(&proto, &scorer, 0.5, 50.0, true, threads, 5);
+                (engine.residual().edges().collect::<Vec<_>>(), rec, stats)
             };
             let (g1, rec1, stats1) = run(1);
             for threads in [2, 4] {
                 let (gt, rect, statst) = run(threads);
                 assert_eq!(stats1, statst, "stats differ at {threads} threads");
                 assert_eq!(rec1, rect, "reconstruction differs at {threads} threads");
-                assert_eq!(
-                    g1.sorted_edge_list(),
-                    gt.sorted_edge_list(),
-                    "residual graph differs at {threads} threads"
-                );
+                assert_eq!(g1, gt, "residual graph differs at {threads} threads");
             }
         }
     }
@@ -307,19 +237,18 @@ mod tests {
     fn pre_cancelled_round_commits_nothing() {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
-        let mut g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.99);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.99);
+        let mut engine = SearchEngine::new(&project(&h), 1);
         let mut rec = Hypergraph::new(0);
         let mut rng = StdRng::seed_from_u64(0);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = bidirectional_search_threaded(
-            &mut g, &scorer, 0.5, 20.0, &mut rec, true, 1, &cancel, &mut rng,
-        )
-        .unwrap_err();
+        let err = engine
+            .round(&scorer, 0.5, 20.0, &mut rec, true, &cancel, &mut rng)
+            .unwrap_err();
         assert!(matches!(err, MariohError::Cancelled));
         assert_eq!(rec.total_edge_count(), 0);
-        assert_eq!(g.num_edges(), 3); // untouched
+        assert_eq!(engine.residual().num_edges(), 3); // untouched
     }
 
     #[test]
@@ -329,12 +258,10 @@ mod tests {
             g.add_edge_weight(n(u), n(v), 2);
         }
         // Sigmoid-like scorer: always positive.
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 1e-6);
-        let mut rec = Hypergraph::new(0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let stats = bidirectional_search(&mut g, &scorer, 0.0, 20.0, &mut rec, true, &mut rng);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 1e-6);
+        let (stats, engine, _) = one_round(&g, &scorer, 0.0, 20.0, true, 1, 3);
         assert_eq!(stats.committed_phase1, 2);
         // One unit of weight removed per edge per commit.
-        assert_eq!(g.total_weight(), 2);
+        assert_eq!(engine.residual().total_weight(), 2);
     }
 }

@@ -218,7 +218,6 @@ pub fn train_classifier_cancellable<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CliqueScorer;
     use marioh_hypergraph::hyperedge::edge;
     use rand::{rngs::StdRng, SeedableRng};
 

@@ -14,11 +14,12 @@ use marioh_core::reconstruct::{reconstruct_observed, ReconstructionReport};
 use marioh_core::search::SearchStats;
 use marioh_core::training::train_classifier;
 use marioh_core::{
-    CancelToken, FeatureMode, MariohConfig, ProgressObserver, SearchEngine, TrainingConfig, Variant,
+    CancelToken, FeatureMode, MariohConfig, ProgressObserver, RoundContext, SearchEngine,
+    TrainingConfig, Variant,
 };
 use marioh_hypergraph::hyperedge::edge;
 use marioh_hypergraph::projection::project;
-use marioh_hypergraph::{Hypergraph, NodeId, ProjectedGraph};
+use marioh_hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
 
@@ -51,6 +52,15 @@ fn trained(source: &Hypergraph, mode: FeatureMode, seed: u64) -> marioh_core::Tr
         ..TrainingConfig::default()
     };
     train_classifier(source, &cfg, &mut rng)
+}
+
+/// A hash-map copy of a residual view, to seed a fresh engine.
+fn thaw(view: &GraphView) -> ProjectedGraph {
+    let mut g = ProjectedGraph::new(view.num_nodes());
+    for (u, v, w) in view.edges() {
+        g.add_edge_weight(u, v, w);
+    }
+    g
 }
 
 /// Records every observer event as a string of its *algorithmic* content
@@ -180,13 +190,12 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
         let model = trained(&h, mode, 31 + case as u64);
         let proto = project(&h);
         for threads in [1usize, 2, 4] {
-            let mut g_inc = proto.clone();
             let mut g_ref = proto.clone();
             let mut rec_inc = Hypergraph::new(proto.num_nodes());
             let mut rec_ref = Hypergraph::new(proto.num_nodes());
             let mut rng_inc = StdRng::seed_from_u64(5);
             let mut rng_ref = StdRng::seed_from_u64(5);
-            let mut engine = SearchEngine::new(threads);
+            let mut engine = SearchEngine::new(&proto, threads);
             let cancel = CancelToken::new();
             let mut theta = 0.9f64;
             for round in 0..15 {
@@ -195,7 +204,6 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                 }
                 let s_inc = engine
                     .round(
-                        &mut g_inc,
                         &model,
                         theta,
                         20.0,
@@ -205,10 +213,9 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                         &mut rng_inc,
                     )
                     .expect("not cancelled");
-                let mut fresh = SearchEngine::new(threads);
+                let mut fresh = SearchEngine::new(&g_ref, threads);
                 let s_ref = fresh
                     .round(
-                        &mut g_ref,
                         &model,
                         theta,
                         20.0,
@@ -218,9 +225,10 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                         &mut rng_ref,
                     )
                     .expect("not cancelled");
+                g_ref = thaw(fresh.residual());
                 assert_eq!(s_inc, s_ref, "stats: {mode:?} t={threads} round={round}");
                 assert_eq!(
-                    g_inc.sorted_edge_list(),
+                    engine.residual().edges().collect::<Vec<_>>(),
                     g_ref.sorted_edge_list(),
                     "residual: {mode:?} t={threads} round={round}"
                 );
@@ -241,13 +249,16 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
 fn engine_parity_on_dense_random_graphs() {
     struct PairWeight;
     impl CliqueScorer for PairWeight {
-        fn score(&self, g: &ProjectedGraph, c: &[NodeId]) -> f64 {
-            let w: u32 = c
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &u)| c[i + 1..].iter().map(move |&v| g.weight(u, v)))
-                .sum();
-            f64::from(w) / (2.0 + f64::from(w))
+        fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
+            let g = round.view();
+            for (c, o) in cliques.iter().zip(out.iter_mut()) {
+                let w: u32 = c
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &u)| c[i + 1..].iter().map(move |&v| g.weight(u, v)))
+                    .sum();
+                *o = f64::from(w) / (2.0 + f64::from(w));
+            }
         }
         fn score_locality(&self) -> marioh_core::ScoreLocality {
             marioh_core::ScoreLocality::OneHop // pair weights are 1-hop local
@@ -266,23 +277,20 @@ fn engine_parity_on_dense_random_graphs() {
             }
         }
         for threads in [1usize, 4] {
-            let mut g_inc = proto.clone();
-            let mut g_ref = proto.clone();
             let mut rec_inc = Hypergraph::new(n);
             let mut rec_ref = Hypergraph::new(n);
             let mut rng_inc = StdRng::seed_from_u64(13);
             let mut rng_ref = StdRng::seed_from_u64(13);
-            let mut engine = SearchEngine::new(threads);
-            let mut rebuild = SearchEngine::full_rebuild(threads);
+            let mut engine = SearchEngine::new(&proto, threads);
+            let mut rebuild = SearchEngine::full_rebuild(&proto, threads);
             let cancel = CancelToken::new();
             let mut theta = 0.7f64;
             for round in 0..20 {
-                if g_ref.is_edgeless() {
+                if rebuild.residual().num_edges() == 0 {
                     break;
                 }
                 let s_inc = engine
                     .round(
-                        &mut g_inc,
                         &PairWeight,
                         theta,
                         50.0,
@@ -294,7 +302,6 @@ fn engine_parity_on_dense_random_graphs() {
                     .expect("not cancelled");
                 let s_ref = rebuild
                     .round(
-                        &mut g_ref,
                         &PairWeight,
                         theta,
                         50.0,
@@ -306,8 +313,8 @@ fn engine_parity_on_dense_random_graphs() {
                     .expect("not cancelled");
                 assert_eq!(s_inc, s_ref, "stats diverged at round {round}");
                 assert_eq!(
-                    g_inc.sorted_edge_list(),
-                    g_ref.sorted_edge_list(),
+                    engine.residual().edges().collect::<Vec<_>>(),
+                    rebuild.residual().edges().collect::<Vec<_>>(),
                     "residual diverged at round {round} (threads {threads})"
                 );
                 assert_eq!(rec_inc, rec_ref, "reconstruction diverged at {round}");

@@ -8,9 +8,6 @@ use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph, WorkerPool};
 
 struct MhhScorer;
 impl CliqueScorer for MhhScorer {
-    fn score(&self, _: &ProjectedGraph, _: &[NodeId]) -> f64 {
-        0.0
-    }
     fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]) {
         let cache = round.mhh_cache();
         for (c, o) in cliques.iter().zip(out.iter_mut()) {
@@ -38,7 +35,7 @@ fn lazy_mhh_build_inside_pool_scoring_does_not_deadlock() {
         let view = GraphView::freeze(&g);
         assert!(view.num_slots() >= 4096, "too small: {}", view.num_slots());
         let pool = WorkerPool::new(4);
-        let ctx = RoundContext::with_frozen(&g, &view, None, 4).with_pool(&pool);
+        let ctx = RoundContext::with_frozen(&view, None, 4).with_pool(&pool);
         let cliques: Vec<Vec<NodeId>> = g
             .sorted_edge_list()
             .into_iter()

@@ -8,9 +8,8 @@
 
 use marioh_core::model::CliqueScorer;
 use marioh_core::parallel::{score_cliques, score_cliques_round};
-use marioh_core::search::bidirectional_search_threaded;
 use marioh_core::training::train_classifier;
-use marioh_core::{CancelToken, FeatureMode, RoundContext, TrainingConfig};
+use marioh_core::{CancelToken, FeatureMode, RoundContext, SearchEngine, TrainingConfig};
 use marioh_hypergraph::clique::maximal_cliques;
 use marioh_hypergraph::hyperedge::edge;
 use marioh_hypergraph::projection::project;
@@ -90,33 +89,28 @@ fn trained_rounds_match_across_thread_counts_with_stats() {
         let model = trained_model(&h, FeatureMode::Multiplicity, 11 + case);
         let proto = project(&h);
         let run = |threads: usize| {
-            let mut g = proto.clone();
-            let mut rec = Hypergraph::new(g.num_nodes());
+            let mut engine = SearchEngine::new(&proto, threads);
+            let mut rec = Hypergraph::new(proto.num_nodes());
             let mut rng = StdRng::seed_from_u64(3);
-            let stats = bidirectional_search_threaded(
-                &mut g,
-                &model,
-                0.5,
-                50.0,
-                &mut rec,
-                true,
-                threads,
-                &CancelToken::new(),
-                &mut rng,
-            )
-            .expect("not cancelled");
-            (g, rec, stats)
+            let stats = engine
+                .round(
+                    &model,
+                    0.5,
+                    50.0,
+                    &mut rec,
+                    true,
+                    &CancelToken::new(),
+                    &mut rng,
+                )
+                .expect("not cancelled");
+            (engine.residual().edges().collect::<Vec<_>>(), rec, stats)
         };
         let (g1, rec1, stats1) = run(1);
         for threads in [2, 4] {
             let (gt, rect, statst) = run(threads);
             assert_eq!(stats1, statst, "SearchStats differ at {threads} threads");
             assert_eq!(rec1, rect, "commits differ at {threads} threads");
-            assert_eq!(
-                g1.sorted_edge_list(),
-                gt.sorted_edge_list(),
-                "residual graph differs at {threads} threads"
-            );
+            assert_eq!(g1, gt, "residual graph differs at {threads} threads");
         }
     }
 }

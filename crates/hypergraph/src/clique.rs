@@ -41,53 +41,11 @@ fn intersection_size(a: &[u32], b: &[u32]) -> usize {
     marioh_kernels::intersect_count(a, b)
 }
 
-/// Computes a degeneracy ordering of the graph's nodes (bucket queue,
-/// O(V + E)). Returns the ordering; the graph's degeneracy is the maximum
-/// "remaining degree" encountered.
-pub fn degeneracy_ordering(g: &ProjectedGraph) -> Vec<NodeId> {
-    let n = g.num_nodes() as usize;
-    let mut degree: Vec<usize> = (0..n).map(|u| g.degree(NodeId(u as u32))).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
-    for (u, &d) in degree.iter().enumerate() {
-        buckets[d].push(u as u32);
-    }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut cursor = 0usize;
-    while order.len() < n {
-        // Find the lowest non-empty bucket at or after `cursor` (degrees
-        // only decrease by one per removal, so cursor never backtracks by
-        // more than one).
-        while cursor < buckets.len() && buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        let Some(u) = buckets[cursor].pop() else {
-            break;
-        };
-        if removed[u as usize] || degree[u as usize] != cursor {
-            continue; // stale bucket entry
-        }
-        removed[u as usize] = true;
-        order.push(NodeId(u));
-        for (v, _) in g.neighbors(NodeId(u)) {
-            let vi = v.index();
-            if !removed[vi] {
-                let d = degree[vi];
-                degree[vi] = d - 1;
-                buckets[d - 1].push(v.0);
-                cursor = cursor.min(d - 1);
-            }
-        }
-    }
-    order
-}
-
-/// [`degeneracy_ordering`] computed from a frozen [`GraphView`] — no hash
-/// traffic. The ordering may differ from the hash-map variant's (ties
-/// break by neighbour iteration order), but any degeneracy ordering
-/// yields the same maximal-clique *set*, and enumeration output is sorted
-/// before being returned.
+/// Computes a degeneracy ordering of `view`'s nodes (bucket queue,
+/// O(V + E)): each node, when taken, has the minimum degree among the
+/// nodes not yet taken. Any degeneracy ordering yields the same
+/// maximal-clique *set*, and enumeration output is sorted before being
+/// returned.
 pub fn degeneracy_ordering_view(view: &GraphView) -> Vec<NodeId> {
     let n = view.num_nodes() as usize;
     let mut degree: Vec<usize> = (0..n).map(|u| view.degree(NodeId(u as u32))).collect();
@@ -129,69 +87,27 @@ pub fn degeneracy_ordering_view(view: &GraphView) -> Vec<NodeId> {
 ///
 /// Implementation: Bron–Kerbosch with pivoting over a degeneracy-ordered
 /// outer loop (Eppstein–Löffler–Strash), the standard
-/// output-sensitive-in-practice variant.
+/// output-sensitive-in-practice variant, run serially on a fresh
+/// [`GraphView`] of `g`.
 pub fn maximal_cliques(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
-    maximal_cliques_capped(g, usize::MAX).0
+    crate::parallel::maximal_cliques_view(&GraphView::freeze(g), 1)
 }
 
-/// Like [`maximal_cliques`], but stops after `cap` cliques have been
-/// emitted. Returns `(cliques, truncated)`.
-///
-/// The cap is the harness's defence against pathological inputs (the paper
-/// reports OOT/OOM entries for some baselines); MARIOH itself never needs
-/// it on the bundled datasets.
-pub fn maximal_cliques_capped(g: &ProjectedGraph, cap: usize) -> (Vec<Vec<NodeId>>, bool) {
-    // The ordering is still computed from the hash-map graph so that the
-    // emission order — and therefore which cliques survive a finite
-    // `cap` — is unchanged from earlier releases.
-    let view = GraphView::freeze(g);
-    let order = degeneracy_ordering(g);
-    let mut rank = vec![0u32; g.num_nodes() as usize];
-    for (i, u) in order.iter().enumerate() {
-        rank[u.index()] = i as u32;
-    }
-    let mut out: Vec<Vec<u32>> = Vec::new();
-    let mut truncated = false;
-    for &u in &order {
-        let (p, x) = root_split(&view, &rank, u);
-        let mut r = vec![u.0];
-        if bk_pivot(&view, &mut r, p, x, &mut out, cap) {
-            truncated = true;
-            break;
-        }
-    }
-    // Isolated edges / larger cliques are all covered; filter size-1
-    // artifacts (isolated nodes are never pushed because r starts with one
-    // node and we only emit when |R| >= 2).
-    out.sort_unstable();
-    (
-        out.into_iter()
-            .map(|c| c.into_iter().map(NodeId).collect())
-            .collect(),
-        truncated,
-    )
-}
-
-/// Recursive Bron–Kerbosch step with pivoting. Returns `true` when the cap
-/// was hit.
+/// Recursive Bron–Kerbosch step with pivoting.
 pub(crate) fn bk_pivot(
     view: &GraphView,
     r: &mut Vec<u32>,
     p: Vec<u32>,
     mut x: Vec<u32>,
     out: &mut Vec<Vec<u32>>,
-    cap: usize,
-) -> bool {
+) {
     if p.is_empty() && x.is_empty() {
         if r.len() >= 2 {
             let mut clique = r.clone();
             clique.sort_unstable();
             out.push(clique);
-            if out.len() >= cap {
-                return true;
-            }
         }
-        return false;
+        return;
     }
     // Pivot: the vertex of P ∪ X with the most neighbours in P.
     let pivot = p
@@ -212,9 +128,7 @@ pub(crate) fn bk_pivot(
         let new_p = intersect_sorted(&p, v_nbrs);
         let new_x = intersect_sorted(&x, v_nbrs);
         r.push(v);
-        if bk_pivot(view, r, new_p, new_x, out, cap) {
-            return true;
-        }
+        bk_pivot(view, r, new_p, new_x, out);
         r.pop();
         // Move v from P to X.
         if let Ok(idx) = p.binary_search(&v) {
@@ -223,7 +137,6 @@ pub(crate) fn bk_pivot(
         let ins = x.binary_search(&v).unwrap_err();
         x.insert(ins, v);
     }
-    false
 }
 
 /// Root vertices whose Bron–Kerbosch subtree (under the
@@ -265,8 +178,7 @@ pub(crate) fn region_roots_local(
 /// to the earliest maximum (where [`bk_pivot`]'s `max_by_key` keeps the
 /// latest); pivot choice only steers traversal order, and
 /// [`maximal_cliques_region`] sorts its output before returning, so the
-/// emitted clique *set* is unchanged — the region walk has no
-/// truncation cap for order to leak through.
+/// emitted clique *set* and its order are unchanged.
 fn region_pivot(view: &GraphView, p: &[u32], x: &[u32]) -> u32 {
     let mut best_v = u32::MAX;
     let mut best: i64 = -1;
@@ -349,17 +261,13 @@ pub(crate) fn bk_pivot_region(
 /// round's commits remove edges, only cliques touching a removed-edge
 /// endpoint can have appeared or died, so the engine re-enumerates the
 /// dirty region and carries every other clique over
-/// ([`crate::parallel::maximal_cliques_region_pool`] is the fanned-out
-/// variant).
+/// ([`crate::parallel::maximal_cliques_region_ranked_pool`] is the
+/// fanned-out variant with a cached ordering).
 ///
 /// `dirty.len()` must equal `view.num_nodes()`.
 pub fn maximal_cliques_region(view: &GraphView, dirty: &[bool]) -> Vec<Vec<NodeId>> {
     assert_eq!(dirty.len(), view.num_nodes() as usize, "dirty mask size");
-    let order = degeneracy_ordering_view(view);
-    let mut rank = vec![0u32; view.num_nodes() as usize];
-    for (i, u) in order.iter().enumerate() {
-        rank[u.index()] = i as u32;
-    }
+    let (_, rank) = crate::parallel::ordering(view);
     let dirty_list: Vec<NodeId> = (0..view.num_nodes())
         .map(NodeId)
         .filter(|u| dirty[u.index()])
@@ -585,26 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn cap_truncates() {
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let (cliques, truncated) = maximal_cliques_capped(&g, 2);
-        assert!(truncated);
-        assert_eq!(cliques.len(), 2);
-        let (_, full) = maximal_cliques_capped(&g, 100);
-        assert!(!full);
-    }
-
-    #[test]
-    fn degeneracy_ordering_covers_all_nodes() {
-        let g = graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let order = degeneracy_ordering(&g);
-        assert_eq!(order.len(), 5);
-        let mut seen: Vec<u32> = order.iter().map(|n| n.0).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn maximality_check() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)]);
         assert!(is_maximal(&g, &[n(0), n(1), n(2)]));
@@ -657,19 +545,25 @@ mod tests {
             let mut seen: Vec<u32> = order.iter().map(|u| u.0).collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..nodes).collect::<Vec<_>>());
-            // Degeneracy (max remaining degree along the ordering) must
-            // match the hash-graph ordering's — both are optimal.
-            let degeneracy = |order: &[NodeId]| {
-                let mut removed = vec![false; nodes as usize];
-                let mut worst = 0usize;
-                for &u in order {
-                    let remaining = g.neighbors(u).filter(|(v, _)| !removed[v.index()]).count();
-                    worst = worst.max(remaining);
-                    removed[u.index()] = true;
-                }
-                worst
+            // The degeneracy property itself: each vertex, when removed,
+            // has the minimum remaining degree among the vertices left.
+            let mut removed = vec![false; nodes as usize];
+            let remaining = |u: NodeId, removed: &[bool]| {
+                view.neighbors(u)
+                    .iter()
+                    .filter(|&&v| !removed[v as usize])
+                    .count()
             };
-            assert_eq!(degeneracy(&order), degeneracy(&degeneracy_ordering(&g)));
+            for &u in &order {
+                let min = (0..nodes)
+                    .map(NodeId)
+                    .filter(|w| !removed[w.index()])
+                    .map(|w| remaining(w, &removed))
+                    .min()
+                    .expect("u itself remains");
+                assert_eq!(remaining(u, &removed), min, "{u} removed out of order");
+                removed[u.index()] = true;
+            }
         }
     }
 

@@ -150,35 +150,6 @@ impl ProjectedGraph {
         removed
     }
 
-    /// Decrements `ω_{u,v}` by one — the commit fast path — returning
-    /// whether the edge was removed (weight hit zero). One hash access
-    /// per direction, no clamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `{u, v}` is not an edge; callers validate the clique
-    /// first.
-    pub fn decrement_unit(&mut self, u: NodeId, v: NodeId) -> bool {
-        let w = self.adj[u.index()]
-            .get_mut(&v.0)
-            .expect("decrement_unit on absent edge");
-        *w -= 1;
-        let gone = *w == 0;
-        if gone {
-            self.adj[u.index()].remove(&v.0);
-            self.adj[v.index()].remove(&u.0);
-            self.num_edges -= 1;
-        } else {
-            *self.adj[v.index()]
-                .get_mut(&u.0)
-                .expect("symmetric adjacency") -= 1;
-        }
-        self.total_weight -= 1;
-        self.weighted_degree[u.index()] -= 1;
-        self.weighted_degree[v.index()] -= 1;
-        gone
-    }
-
     /// Removes the edge `{u, v}` entirely, returning its previous weight.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> u32 {
         let w = self.weight(u, v);

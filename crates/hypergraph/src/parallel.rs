@@ -20,7 +20,6 @@
 use crate::clique::{
     bk_pivot, bk_pivot_region, degeneracy_ordering_view, region_roots_local, root_split,
 };
-use crate::graph::ProjectedGraph;
 use crate::node::NodeId;
 use crate::pool::WorkerPool;
 use crate::view::GraphView;
@@ -38,16 +37,6 @@ pub const ENUM_PARALLEL_MIN_EDGES: usize = 8192;
 pub fn enumeration_parallel_worthwhile(view: &GraphView) -> bool {
     let e = view.num_edges();
     e >= ENUM_PARALLEL_MIN_EDGES || e >= 16 * view.num_nodes() as usize
-}
-
-/// Enumerates all maximal cliques of `g` (size ≥ 2) on `threads` worker
-/// threads. Output is identical (including order) to
-/// [`crate::clique::maximal_cliques`] for any thread count.
-///
-/// Callers that already hold a round-frozen [`GraphView`] should use
-/// [`maximal_cliques_view`] instead and skip the snapshot rebuild.
-pub fn maximal_cliques_parallel(g: &ProjectedGraph, threads: usize) -> Vec<Vec<NodeId>> {
-    maximal_cliques_view(&GraphView::freeze(g), threads)
 }
 
 /// Enumerates all maximal cliques (size ≥ 2) of a frozen [`GraphView`].
@@ -147,25 +136,6 @@ pub fn maximal_cliques_pool(view: &GraphView, pool: &WorkerPool) -> Vec<Vec<Node
     maximal_cliques_ranked_pool(view, &order, &rank, pool)
 }
 
-/// Enumerates exactly the maximal cliques (size ≥ 2) containing a
-/// `dirty` vertex, fanning the region's root subproblems out over
-/// `pool`. Sorted output, identical to
-/// [`crate::clique::maximal_cliques_region`].
-pub fn maximal_cliques_region_pool(
-    view: &GraphView,
-    dirty: &[bool],
-    pool: &WorkerPool,
-) -> Vec<Vec<NodeId>> {
-    assert_eq!(dirty.len(), view.num_nodes() as usize, "dirty mask size");
-    let dirty_list: Vec<NodeId> = dirty
-        .iter()
-        .enumerate()
-        .filter_map(|(u, &d)| d.then_some(NodeId(u as u32)))
-        .collect();
-    let (_, rank) = ordering(view);
-    maximal_cliques_region_ranked_pool(view, &rank, &dirty_list, dirty, pool)
-}
-
 /// Serial Bron–Kerbosch over the given root vertices (full enumeration
 /// when `roots` is the whole ordering, region enumeration when a dirty
 /// mask restricts emission).
@@ -181,7 +151,7 @@ fn enumerate_roots_serial(
         let mut r = vec![u.0];
         match region {
             None => {
-                bk_pivot(view, &mut r, p, x, &mut all, usize::MAX);
+                bk_pivot(view, &mut r, p, x, &mut all);
             }
             Some(dirty) => {
                 bk_pivot_region(view, &mut r, dirty[u.index()], p, x, dirty, &mut all);
@@ -217,7 +187,7 @@ fn enumerate_roots_pool(
             let mut r = vec![u.0];
             match region {
                 None => {
-                    bk_pivot(view, &mut r, p, x, &mut out, usize::MAX);
+                    bk_pivot(view, &mut r, p, x, &mut out);
                 }
                 Some(dirty) => {
                     bk_pivot_region(view, &mut r, dirty[u.index()], p, x, dirty, &mut out);
@@ -249,6 +219,7 @@ fn finish(mut all: Vec<Vec<u32>>) -> Vec<Vec<NodeId>> {
 mod tests {
     use super::*;
     use crate::clique::{maximal_cliques, maximal_cliques_region};
+    use crate::graph::ProjectedGraph;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_graph(rng: &mut StdRng, n: u32, p: f64) -> ProjectedGraph {
@@ -270,10 +241,13 @@ mod tests {
             let n = rng.gen_range(2..40u32);
             let p = rng.gen_range(0.05..0.6);
             let g = random_graph(&mut rng, n, p);
+            let view = GraphView::freeze(&g);
+            let (order, rank) = ordering(&view);
             let serial = maximal_cliques(&g);
             for threads in [2, 3, 8] {
+                let pool = WorkerPool::new(threads);
                 assert_eq!(
-                    maximal_cliques_parallel(&g, threads),
+                    maximal_cliques_ranked_pool(&view, &order, &rank, &pool),
                     serial,
                     "n={n} p={p} threads={threads}"
                 );
@@ -303,9 +277,11 @@ mod tests {
             let n = rng.gen_range(2..30u32);
             let g = random_graph(&mut rng, n, 0.45);
             let view = GraphView::freeze(&g);
+            let (_, rank) = ordering(&view);
             let dirty: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+            let dirty_list: Vec<NodeId> = (0..n).map(NodeId).filter(|u| dirty[u.index()]).collect();
             assert_eq!(
-                maximal_cliques_region_pool(&view, &dirty, &pool),
+                maximal_cliques_region_ranked_pool(&view, &rank, &dirty_list, &dirty, &pool),
                 maximal_cliques_region(&view, &dirty)
             );
         }
@@ -315,8 +291,9 @@ mod tests {
     fn single_thread_delegates_to_serial() {
         let mut rng = StdRng::seed_from_u64(12);
         let g = random_graph(&mut rng, 20, 0.3);
-        assert_eq!(maximal_cliques_parallel(&g, 1), maximal_cliques(&g));
-        assert_eq!(maximal_cliques_parallel(&g, 0), maximal_cliques(&g));
+        let view = GraphView::freeze(&g);
+        assert_eq!(maximal_cliques_view(&view, 1), maximal_cliques(&g));
+        assert_eq!(maximal_cliques_view(&view, 0), maximal_cliques(&g));
     }
 
     #[test]
@@ -336,7 +313,7 @@ mod tests {
     #[test]
     fn empty_graph_yields_nothing() {
         let g = ProjectedGraph::new(7);
-        assert!(maximal_cliques_parallel(&g, 4).is_empty());
+        assert!(maximal_cliques_view(&GraphView::freeze(&g), 4).is_empty());
         let pool = WorkerPool::new(4);
         assert!(maximal_cliques_pool(&GraphView::freeze(&g), &pool).is_empty());
     }
@@ -362,7 +339,7 @@ mod tests {
                 g.add_edge_weight(NodeId(u), NodeId(v), 1);
             }
         }
-        let cliques = maximal_cliques_parallel(&g, 4);
+        let cliques = maximal_cliques_view(&GraphView::freeze(&g), 4);
         assert_eq!(cliques.len(), 1);
         assert_eq!(cliques[0].len(), 10);
     }

@@ -9,13 +9,12 @@
 //! so hot-path queries become merges and binary searches over contiguous
 //! memory instead of per-edge hash lookups.
 //!
-//! The freeze contract: a view is only valid as long as the graph it was
-//! built from is not mutated — **unless** every mutation is mirrored into
-//! the view through [`GraphView::decrement_entry`]. The search loop
-//! builds one view per scoring pass and drops it before committing; the
-//! cross-round incremental engine instead keeps one view alive for the
-//! whole run and patches it in step with every commit, so the only
-//! full-freeze cost is paid once.
+//! A view is a snapshot: it does not follow later mutations of the graph
+//! it was frozen from. It can, however, be mutated itself, through
+//! [`GraphView::decrement_entry`] and [`GraphView::decrement_unit`]. The
+//! cross-round search engine freezes its input once and from then on
+//! uses the view as its only working graph, decrementing it with every
+//! commit, so the full-freeze cost is paid once per run.
 
 use crate::graph::ProjectedGraph;
 use crate::node::NodeId;
@@ -420,23 +419,42 @@ mod tests {
     #[test]
     fn patched_view_matches_fresh_freeze_after_random_decrements() {
         let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..20 {
-            let nodes = rng.gen_range(2..25u32);
-            let mut g = random_graph(&mut rng, nodes, 0.4);
-            let mut view = GraphView::freeze(&g);
-            for _ in 0..40 {
-                let u = NodeId(rng.gen_range(0..nodes));
-                let v = NodeId(rng.gen_range(0..nodes));
-                if u == v {
-                    continue;
+        // Two inputs: clamped decrements of random pairs (present or
+        // not) through `decrement_entry`, and unit decrements of live
+        // edges through `decrement_unit`, the engine's commit path.
+        for unit in [false, true] {
+            for _ in 0..20 {
+                let nodes = rng.gen_range(2..25u32);
+                let mut g = random_graph(&mut rng, nodes, 0.4);
+                let mut view = GraphView::freeze(&g);
+                for _ in 0..40 {
+                    if unit {
+                        let live: Vec<_> = view.edges().collect();
+                        if live.is_empty() {
+                            break;
+                        }
+                        let (mut u, mut v, _) = live[rng.gen_range(0..live.len())];
+                        if rng.gen_bool(0.5) {
+                            std::mem::swap(&mut u, &mut v);
+                        }
+                        let gone = view.decrement_unit(u, v);
+                        assert_eq!(g.decrement_edge(u, v, 1), 1);
+                        assert_eq!(gone, !g.has_edge(u, v));
+                        continue;
+                    }
+                    let u = NodeId(rng.gen_range(0..nodes));
+                    let v = NodeId(rng.gen_range(0..nodes));
+                    if u == v {
+                        continue;
+                    }
+                    let amount = rng.gen_range(1..4u32);
+                    let removed_g = g.decrement_edge(u, v, amount);
+                    let removed_v = view.decrement_entry(u, v, amount);
+                    assert_eq!(removed_g, removed_v);
                 }
-                let amount = rng.gen_range(1..4u32);
-                let removed_g = g.decrement_edge(u, v, amount);
-                let removed_v = view.decrement_entry(u, v, amount);
-                assert_eq!(removed_g, removed_v);
+                assert_matches_fresh_freeze(&view, &g);
+                g.check_invariants().unwrap();
             }
-            assert_matches_fresh_freeze(&view, &g);
-            g.check_invariants().unwrap();
         }
     }
 

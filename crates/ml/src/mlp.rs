@@ -626,6 +626,9 @@ impl Mlp {
                     .map(|t| t.parse::<f64>())
                     .collect::<Result<_, _>>()
                     .map_err(|_| bad("bad weight value"))?;
+                if vals.iter().any(|v| !v.is_finite()) {
+                    return Err(bad("non-finite weight value"));
+                }
                 if vals.len() != expect {
                     return Err(bad("weight row length mismatch"));
                 }

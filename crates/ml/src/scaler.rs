@@ -159,6 +159,9 @@ impl StandardScaler {
                 .map(|t| t.parse::<f64>())
                 .collect::<Result<_, _>>()
                 .map_err(|_| bad("bad scaler value"))?;
+            if vals.iter().any(|v| !v.is_finite()) {
+                return Err(bad("non-finite scaler value"));
+            }
             if vals.len() != dim {
                 return Err(bad("scaler row length mismatch"));
             }

@@ -8,7 +8,7 @@ use marioh::core::reconstruct::reconstruct_with_report;
 use marioh::core::{Marioh, MariohConfig, TrainingConfig};
 use marioh::hypergraph::hyperedge::edge;
 use marioh::hypergraph::projection::project;
-use marioh::hypergraph::{io, Hypergraph, NodeId, ProjectedGraph};
+use marioh::hypergraph::{io, GraphView, Hypergraph, NodeId};
 use marioh::ml::{Mlp, StandardScaler};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -141,7 +141,6 @@ proptest! {
             let mut h = Hypergraph::new(3);
             h.add_edge(edge(&[0, 1, 2]));
             let g = project(&h);
-            use marioh::core::model::CliqueScorer as _;
             let s = model.score(&g, &[NodeId(0), NodeId(1), NodeId(2)]);
             prop_assert!((0.0..=1.0).contains(&s), "score {s} out of range");
         }
@@ -183,7 +182,7 @@ proptest! {
         h.add_edge(edge(&[3, 4, 5]));
         let g = project(&h);
         // Score depends on clique size only; may be negative or > 1.
-        let scorer = FnScorer(move |_: &ProjectedGraph, c: &[NodeId]| {
+        let scorer = FnScorer(move |_: &GraphView, c: &[NodeId]| {
             bias + scale_ / c.len() as f64
         });
         let cfg = MariohConfig {
@@ -206,7 +205,7 @@ fn nan_scores_panic_loudly() {
     h.add_edge(edge(&[0, 1, 2]));
     h.add_edge(edge(&[1, 2, 3]));
     let g = project(&h);
-    let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| f64::NAN);
+    let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| f64::NAN);
     let mut rng = StdRng::seed_from_u64(0);
     let _ = reconstruct_with_report(&g, &scorer, &MariohConfig::default(), &mut rng);
 }

@@ -12,7 +12,7 @@ use marioh::datasets::PaperDataset;
 use marioh::hypergraph::hyperedge::edge;
 use marioh::hypergraph::motifs::{motif_census, profile_distance};
 use marioh::hypergraph::projection::project;
-use marioh::hypergraph::{Hypergraph, NodeId, ProjectedGraph};
+use marioh::hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// A single-edge hypergraph round-trips through the whole pipeline.
@@ -34,7 +34,7 @@ fn minimal_hypergraph_pipeline() {
 #[test]
 fn edgeless_graph_reconstruction() {
     let g = ProjectedGraph::new(10);
-    let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.9);
+    let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.9);
     for (filtering, bidir) in [(true, true), (false, true), (true, false), (false, false)] {
         let cfg = MariohConfig {
             use_filtering: filtering,
@@ -56,7 +56,7 @@ fn boundary_thresholds_terminate() {
     h.add_edge_with_multiplicity(edge(&[0, 1, 2]), 2);
     h.add_edge(edge(&[1, 3]));
     let g = project(&h);
-    let scorer = FnScorer(|_: &ProjectedGraph, q: &[NodeId]| 0.3 + 0.1 * q.len() as f64 / 10.0);
+    let scorer = FnScorer(|_: &GraphView, q: &[NodeId]| 0.3 + 0.1 * q.len() as f64 / 10.0);
     for theta in [0.0, 1.0] {
         let cfg = MariohConfig {
             theta_init: theta,
@@ -78,7 +78,7 @@ fn zero_neg_ratio_still_reconstructs() {
     let mut h = Hypergraph::new(0);
     h.add_edge(edge(&[0, 1, 2]));
     let g = project(&h);
-    let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.6);
+    let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.6);
     let cfg = MariohConfig {
         neg_ratio: 0.0,
         ..MariohConfig::default()
@@ -104,7 +104,6 @@ fn training_without_negatives_is_degenerate_but_safe() {
     let set = build_training_set(&source, &cfg, &mut rng);
     assert!(set.labels.iter().all(|&l| l == 1.0));
     let model = marioh::core::training::train_classifier(&source, &cfg, &mut rng);
-    use marioh::core::model::CliqueScorer;
     let g = project(&source);
     let p = model.score(&g, &[NodeId(0), NodeId(1), NodeId(2)]);
     assert!((0.0..=1.0).contains(&p));

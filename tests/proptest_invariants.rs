@@ -10,7 +10,7 @@ use marioh::hypergraph::clique::{is_maximal, maximal_cliques};
 use marioh::hypergraph::hyperedge::Hyperedge;
 use marioh::hypergraph::metrics::{jaccard, multi_jaccard};
 use marioh::hypergraph::projection::project;
-use marioh::hypergraph::{Hypergraph, NodeId, ProjectedGraph};
+use marioh::hypergraph::{GraphView, Hypergraph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random hypergraph over ≤ `max_nodes` nodes.
@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn reconstruction_conserves_weight(h in arb_hypergraph(9, 8)) {
         let g = project(&h);
-        let scorer = FnScorer(|_: &ProjectedGraph, _: &[NodeId]| 0.5);
+        let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         use rand::SeedableRng;
         let rec = reconstruct(&g, &scorer, &MariohConfig::default(), &mut rng);

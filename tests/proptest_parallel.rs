@@ -4,11 +4,10 @@
 
 use marioh::core::model::FnScorer;
 use marioh::core::parallel::score_cliques;
-use marioh::core::search::{bidirectional_search, bidirectional_search_threaded};
-use marioh::core::CancelToken;
+use marioh::core::{CancelToken, SearchEngine};
 use marioh::hypergraph::clique::maximal_cliques;
-use marioh::hypergraph::parallel::maximal_cliques_parallel;
-use marioh::hypergraph::{Hypergraph, NodeId, ProjectedGraph};
+use marioh::hypergraph::parallel::maximal_cliques_view;
+use marioh::hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph};
 use marioh::linalg::sparse::{normalized_adjacency, CsrMatrix};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -44,13 +43,13 @@ proptest! {
     /// thread count.
     #[test]
     fn parallel_cliques_equal_serial(g in arb_graph(16), threads in 2usize..9) {
-        prop_assert_eq!(maximal_cliques_parallel(&g, threads), maximal_cliques(&g));
+        prop_assert_eq!(maximal_cliques_view(&GraphView::freeze(&g), threads), maximal_cliques(&g));
     }
 
     /// Parallel scoring returns the same scores at the same indices.
     #[test]
     fn parallel_scoring_equals_serial(g in arb_graph(14), threads in 2usize..9) {
-        let scorer = FnScorer(|g: &ProjectedGraph, c: &[NodeId]| {
+        let scorer = FnScorer(|g: &GraphView, c: &[NodeId]| {
             let mut acc = c.len() as f64;
             for (i, &u) in c.iter().enumerate() {
                 for &v in &c[i + 1..] {
@@ -70,37 +69,21 @@ proptest! {
     /// residual graph as the serial round.
     #[test]
     fn threaded_search_round_equals_serial(g in arb_graph(12), threads in 2usize..6) {
-        let scorer = FnScorer(|_: &ProjectedGraph, c: &[NodeId]| 1.0 / c.len() as f64);
-        let run_serial = || {
-            let mut work = g.clone();
+        let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| 1.0 / c.len() as f64);
+        let run = |t: usize| {
+            let mut engine = SearchEngine::new(&g, t);
             let mut rec = Hypergraph::new(g.num_nodes());
             let mut rng = StdRng::seed_from_u64(3);
-            let stats = bidirectional_search(&mut work, &scorer, 0.3, 60.0, &mut rec, true, &mut rng);
-            (work, rec, stats)
+            let stats = engine
+                .round(&scorer, 0.3, 60.0, &mut rec, true, &CancelToken::new(), &mut rng)
+                .expect("not cancelled");
+            (engine.residual().edges().collect::<Vec<_>>(), rec, stats)
         };
-        let run_threaded = |t: usize| {
-            let mut work = g.clone();
-            let mut rec = Hypergraph::new(g.num_nodes());
-            let mut rng = StdRng::seed_from_u64(3);
-            let stats = bidirectional_search_threaded(
-                &mut work,
-                &scorer,
-                0.3,
-                60.0,
-                &mut rec,
-                true,
-                t,
-                &CancelToken::new(),
-                &mut rng,
-            )
-            .expect("not cancelled");
-            (work, rec, stats)
-        };
-        let (g1, rec1, stats1) = run_serial();
-        let (g2, rec2, stats2) = run_threaded(threads);
+        let (g1, rec1, stats1) = run(1);
+        let (g2, rec2, stats2) = run(threads);
         prop_assert_eq!(stats1, stats2);
         prop_assert_eq!(rec1, rec2);
-        prop_assert_eq!(g1.sorted_edge_list(), g2.sorted_edge_list());
+        prop_assert_eq!(g1, g2);
     }
 
     /// CSR matvec agrees with the dense reference on arbitrary triplets.
