@@ -6,13 +6,13 @@
 //! classifier, three ways:
 //!
 //! * **incremental** — the cross-round [`marioh_core::SearchEngine`]
-//!   (the default): one freeze/ordering per run, dirty-region clique
-//!   maintenance, locality-bounded score reuse, patched MHH memo, one
-//!   persistent worker pool.
+//!   (the default): one freeze/ordering per run, a carried clique list
+//!   re-enumerated only around removed edges, patched MHH memo, one
+//!   persistent worker pool. Every round scores its whole clique list.
 //! * **rebuild** — the same engine with carry-over disabled
-//!   (`incremental: false`): re-enumerates and re-scores every round and
-//!   rebuilds its MHH memo and ordering, but keeps the persistent pool
-//!   and within-round MHH patching.
+//!   (`incremental: false`): re-enumerates every round and rebuilds its
+//!   MHH memo and ordering, but keeps the persistent pool and
+//!   within-round MHH patching.
 //! * **legacy** — a faithful replica of the pre-engine round (PR 3's
 //!   code): freeze + degeneracy ordering every pass, full Bron–Kerbosch
 //!   every round, a *fresh* lazily-built MHH memo per scoring pass

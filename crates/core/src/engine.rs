@@ -3,19 +3,17 @@
 //! MARIOH's outer loop (Algorithm 1) decays θ a little every round, so a
 //! run is dozens-to-hundreds of bidirectional-search rounds over a graph
 //! that *shrinks only where cliques were committed*. The pre-engine code
-//! re-froze the whole graph, re-ran Bron–Kerbosch over every vertex,
-//! rebuilt the MHH memo and re-scored every maximal clique each round —
-//! even though a commit only touches the committed clique's vertices and
-//! scores are θ-independent. [`SearchEngine`] lives across rounds and
-//! recomputes only what a round's commits could have changed.
+//! re-froze the whole graph, re-ran Bron–Kerbosch over every vertex and
+//! rebuilt the MHH memo each round, even though a commit only touches
+//! the committed clique's vertices. [`SearchEngine`] lives across rounds
+//! and re-derives only the structure a round's commits could have
+//! changed; every round then scores its whole clique list.
 //!
-//! # The dirty-closure invariant
+//! # The removed-set invariant
 //!
 //! A commit decrements exactly the edges *inside* the committed clique
 //! `C`, so between two consecutive rounds the changed edges all have
-//! both endpoints in `C`. Three progressively wider vertex sets bound
-//! what can differ, and each engine structure is invalidated by the
-//! narrowest set that is sound for it:
+//! both endpoints in `C`. Two vertex sets bound what can differ:
 //!
 //! * **Removed set `De`** — endpoints of edges whose weight reached zero.
 //!   Only *removals* change the graph's topology, and every maximal
@@ -25,23 +23,13 @@
 //!   that broke inside `Q ∪ {w}` has an endpoint in `Q`). Cliques
 //!   disjoint from `De` are carried over; the `De`-region is re-enumerated
 //!   with a region-restricted Bron–Kerbosch.
-//! * **Changed set `C ⊇ De`** — endpoints of any weight change. `MHH(u,v)`
+//! * **Changed vertices** — endpoints of any weight change. `MHH(u,v)`
 //!   reads only edges incident to `u` or `v`, so exactly the memo entries
-//!   incident to `C` are re-derived ([`MhhCache::patch`]).
-//! * **Dirty closure `C ∪ N(C)`** — `C` plus its neighbours. Clique
-//!   *scores* read features up to the 2-hop neighbourhood: weighted
-//!   degrees, pair weights and MHH reach only edges incident to the
-//!   clique (covered by `C`), but the square-motif features of
-//!   [`crate::FeatureMode::Motif`] count paths `u–a–b–v` through the edge
-//!   `(a, b)` *between* neighbours — a changed `(a, b)` perturbs cliques
-//!   containing a neighbour of `a` or `b`. Hence neighbours of committed
-//!   vertices are invalidated too, and only cliques disjoint from the
-//!   closure keep their carried score (and only within the radius the
-//!   scorer declares via [`CliqueScorer::score_locality`]).
+//!   incident to them are re-derived ([`MhhCache::patch`]).
 //!
-//! Because every carried quantity is either an exact integer (MHH,
-//! weights, degrees) or the output of a pure function re-run on
-//! bit-identical inputs (MLP scores), the engine is **bit-identical** to
+//! Because every carried quantity is an exact integer (clique lists,
+//! MHH, weights, degrees) and every score is recomputed by a pure
+//! function on bit-identical inputs, the engine is **bit-identical** to
 //! the rebuild-every-round path — same cliques, same scores, same commit
 //! order, same Phase-2 RNG consumption — for every seed, thread count and
 //! variant. A parity suite (`tests/engine_parity.rs`) enforces this.
@@ -52,7 +40,7 @@
 
 use crate::error::MariohError;
 use crate::mhh::MhhCache;
-use crate::model::{CliqueScorer, ScoreLocality};
+use crate::model::CliqueScorer;
 use crate::parallel::{score_cliques_pool, score_work, SCORE_PARALLEL_MIN_WORK};
 use crate::progress::CancelToken;
 use crate::round::RoundContext;
@@ -106,16 +94,15 @@ impl FlagSet {
 
 /// A run-long bidirectional-search engine: executes rounds of
 /// Algorithm 3 against the residual graph it owns, maintaining the CSR
-/// view, the MHH memo, and the previous round's maximal cliques and
-/// scores incrementally across rounds (see the [module docs](self) for
-/// the invalidation rules).
+/// view, the MHH memo, and the previous round's maximal cliques
+/// incrementally across rounds (see the [module docs](self) for the
+/// invalidation rules).
 ///
 /// The engine freezes its input graph once, at construction, into a
 /// patchable [`GraphView`]; from then on that view is the only working
 /// graph. Every commit decrements it in place, scorers read it, and
-/// [`SearchEngine::residual`] exposes it. One engine serves one
-/// `(graph, scorer)` run: a swapped *scorer* between rounds would
-/// silently reuse the old scorer's carried scores — don't.
+/// [`SearchEngine::residual`] exposes it. Scores are never carried, so
+/// each round may use a different scorer.
 ///
 /// [`crate::reconstruct::reconstruct_observed`] keeps one engine for the
 /// whole outer loop.
@@ -131,25 +118,21 @@ pub struct SearchEngine {
     /// Cached degeneracy ordering and its inverse. Any permutation keeps
     /// enumeration *correct* (emission roots at the min-rank member;
     /// output is sorted); only its efficiency degrades as the graph
-    /// shrinks, so it is recomputed when the edge count has halved.
+    /// shrinks, so it is recomputed once a quarter of the edges are gone.
     order: Vec<NodeId>,
     rank: Vec<u32>,
     edges_at_order: usize,
     /// MHH memo patched for changed-incident edges; `None` until a
     /// scorer first requests MHH (then kept for the rest of the run).
     mhh: Option<MhhCache>,
-    /// The previous round's maximal cliques (sorted) and their scores.
-    prev_cliques: Vec<Vec<NodeId>>,
-    prev_scores: Vec<f64>,
-    has_prev: bool,
-    /// `C`: endpoints of weight changes since the last snapshot.
-    changed: FlagSet,
-    /// `De ⊆ C`: endpoints of removed edges since the last snapshot.
+    /// The previous round's maximal cliques (sorted); `None` before the
+    /// first round and always in rebuild mode.
+    prev_cliques: Option<Vec<Vec<NodeId>>>,
+    /// `De`: endpoints of removed edges since the last snapshot.
     removed: FlagSet,
-    /// `C` since the last MHH sync (consumed before each scoring pass).
+    /// Endpoints of weight changes since the last MHH sync (consumed
+    /// before each scoring pass).
     mhh_stale: FlagSet,
-    /// Scratch: the dirty closure `C ∪ N(C)` of the current update.
-    closure: FlagSet,
 }
 
 impl SearchEngine {
@@ -160,8 +143,8 @@ impl SearchEngine {
         SearchEngine::with_mode(g, threads, true)
     }
 
-    /// An engine that re-enumerates and re-scores everything every round
-    /// and rebuilds its MHH memo and ordering from the residual view —
+    /// An engine that re-enumerates every round's cliques and rebuilds
+    /// its MHH memo and ordering from the residual view —
     /// the parity reference for the incremental path. Still uses the
     /// persistent worker pool.
     pub fn full_rebuild(g: &ProjectedGraph, threads: usize) -> SearchEngine {
@@ -182,13 +165,9 @@ impl SearchEngine {
             order,
             rank,
             mhh: None,
-            prev_cliques: Vec::new(),
-            prev_scores: Vec::new(),
-            has_prev: false,
-            changed: FlagSet::new(n),
+            prev_cliques: None,
             removed: FlagSet::new(n),
             mhh_stale: FlagSet::new(n),
-            closure: FlagSet::new(n),
         }
     }
 
@@ -250,13 +229,15 @@ impl SearchEngine {
             self.mhh = None;
             self.mhh_stale.clear();
         }
-        let (cliques, scores) = self.cliques_and_scores(scorer, &mut stats);
+        let cliques = self.cliques(&mut stats);
         stats.cliques_enumerated = cliques.len();
         if cliques.is_empty() {
-            self.store_prev(cliques, scores);
+            self.store_prev(cliques);
             stats.round_ms = elapsed_ms(t0);
             return Ok(stats);
         }
+        let scores = self.score_pass(scorer, &cliques);
+        stats.cliques_rescored = cliques.len();
 
         // Partition: positives (score > θ) descending, rest ascending —
         // index-based, with the clique itself as the deterministic
@@ -287,7 +268,7 @@ impl SearchEngine {
         }
 
         if !phase2 {
-            self.store_prev(cliques, scores);
+            self.store_prev(cliques);
             stats.round_ms = elapsed_ms(t0);
             return Ok(stats);
         }
@@ -342,7 +323,7 @@ impl SearchEngine {
                 }
             }
         }
-        self.store_prev(cliques, scores);
+        self.store_prev(cliques);
         stats.round_ms = elapsed_ms(t0);
         Ok(stats)
     }
@@ -377,100 +358,34 @@ impl SearchEngine {
     }
 
     /// Produces this round's maximal cliques (sorted, exactly the full
-    /// enumeration's output) and their scores, incrementally when
-    /// possible. Consumes the dirty sets accumulated since the previous
-    /// round's snapshot.
-    fn cliques_and_scores(
-        &mut self,
-        scorer: &dyn CliqueScorer,
-        stats: &mut SearchStats,
-    ) -> (Vec<Vec<NodeId>>, Vec<f64>) {
-        let use_prev = self.incremental && self.has_prev;
-        self.has_prev = false;
-        let prev_cliques = std::mem::take(&mut self.prev_cliques);
-        let prev_scores = std::mem::take(&mut self.prev_scores);
-
-        if !use_prev {
-            self.changed.clear();
+    /// enumeration's output), carrying the previous round's list when
+    /// possible, and counts the carried ones in `stats`. Consumes the
+    /// removed set accumulated since the previous round's snapshot.
+    fn cliques(&mut self, stats: &mut SearchStats) -> Vec<Vec<NodeId>> {
+        let Some(prev_cliques) = self.prev_cliques.take() else {
             self.removed.clear();
-            let cliques = self.enumerate_all();
-            let scores = self.score_pass(scorer, &cliques);
-            stats.cliques_rescored = cliques.len();
-            return (cliques, scores);
-        }
-
+            return self.enumerate_all();
+        };
         self.refresh_order();
 
-        // 1) The dirty closure bounds which carried scores are stale:
-        //    `C` for 1-hop scorers, `C ∪ N(C)` for 2-hop ones (square
-        //    motifs read edges among neighbours), nothing reusable for
-        //    global scorers.
-        let locality = scorer.score_locality();
-        let reuse = locality != ScoreLocality::Global;
-        self.closure.clear();
-        if reuse {
-            for i in 0..self.changed.list.len() {
-                let u = self.changed.list[i];
-                self.closure.mark(u);
-                if locality == ScoreLocality::TwoHop {
-                    for &v in self.view.neighbors(u) {
-                        self.closure.mark(NodeId(v));
-                    }
-                }
-            }
-        }
-
-        // 2) Produce this round's sorted clique list and carry scores.
-        //    Three regimes by how much topology the commits removed:
-        //    nothing (carry the whole list), a small region (re-enumerate
-        //    only around `De` — every clique that appeared or died
-        //    intersects it), or most of the graph (full re-enumeration is
-        //    cheaper than region bookkeeping; scores still carry through
-        //    a sorted merge-join against the previous list).
+        // Three regimes by how much topology the commits removed: nothing
+        // (carry the whole list), a small region (re-enumerate only
+        // around `De` — every clique that appeared or died intersects
+        // it), or most of the graph (full re-enumeration is cheaper than
+        // region bookkeeping; a graph this churned has usually also
+        // tripped `refresh_order`'s quarter-loss rule, so the full BK runs
+        // on a recent degeneracy ordering).
         let removed_incident: usize = self.removed.list.iter().map(|&u| self.view.degree(u)).sum();
-        let wide_removal = removed_incident * 2 >= self.view.num_edges();
-
-        let mut cliques: Vec<Vec<NodeId>>;
-        let mut scores: Vec<f64>;
-        let mut rescore_idx: Vec<usize> = Vec::new();
-        if self.removed.is_empty() {
-            // Topology unchanged: the maximal-clique set is exactly the
-            // previous one; only closure-dirty scores go stale.
-            cliques = prev_cliques;
-            scores = prev_scores;
-            for (i, clique) in cliques.iter().enumerate() {
-                if !reuse || clique.iter().any(|u| self.closure.flag[u.index()]) {
-                    rescore_idx.push(i);
-                }
-            }
-        } else if wide_removal {
-            // Commits touched most of the graph: enumerate from scratch
-            // and merge-join the sorted lists to salvage clean scores.
-            // (A graph this churned has usually also tripped
-            // `refresh_order`'s quarter-loss rule above, so the full BK
-            // runs on a recent degeneracy ordering.)
-            cliques = self.enumerate_all();
-            scores = vec![0.0; cliques.len()];
-            let mut pi = 0usize;
-            for (i, clique) in cliques.iter().enumerate() {
-                while pi < prev_cliques.len() && prev_cliques[pi] < *clique {
-                    pi += 1;
-                }
-                let carried = reuse
-                    && pi < prev_cliques.len()
-                    && prev_cliques[pi] == *clique
-                    && !clique.iter().any(|u| self.closure.flag[u.index()]);
-                if carried {
-                    scores[i] = prev_scores[pi];
-                } else {
-                    rescore_idx.push(i);
-                }
-            }
+        let cliques = if self.removed.is_empty() {
+            stats.cliques_reused = prev_cliques.len();
+            prev_cliques
+        } else if removed_incident * 2 >= self.view.num_edges() {
+            self.enumerate_all()
         } else {
-            // Localised removal: re-enumerate only the dirty region and
-            // splice it into the carried (De-disjoint, still maximal)
-            // remainder — the two sorted streams are disjoint, so the
-            // merge reproduces the full enumeration's order exactly.
+            // Re-enumerate only the dirty region and splice it into the
+            // carried (De-disjoint, still maximal) remainder — the two
+            // sorted streams are disjoint, so the merge reproduces the
+            // full enumeration's order exactly.
             let new_cliques = {
                 let _span = marioh_obs::Span::enter("enumeration");
                 if self.threads > 1 && removed_incident >= ENUM_PARALLEL_MIN_EDGES {
@@ -490,60 +405,27 @@ impl SearchEngine {
                     )
                 }
             };
-            cliques = Vec::with_capacity(prev_cliques.len() + new_cliques.len());
-            scores = Vec::with_capacity(prev_cliques.len() + new_cliques.len());
+            let mut cliques = Vec::with_capacity(prev_cliques.len() + new_cliques.len());
             let mut new_iter = new_cliques.into_iter().peekable();
-            for (clique, score) in prev_cliques.into_iter().zip(prev_scores) {
+            for clique in prev_cliques {
                 if clique.iter().any(|u| self.removed.flag[u.index()]) {
                     continue; // dropped; the region enumeration re-finds survivors
                 }
-                while new_iter.peek().is_some_and(|n| n < &clique) {
-                    let n = new_iter.next().expect("peeked");
-                    rescore_idx.push(cliques.len());
+                while let Some(n) = new_iter.next_if(|n| n < &clique) {
                     cliques.push(n);
-                    scores.push(0.0);
                 }
                 debug_assert!(
                     new_iter.peek() != Some(&clique),
                     "carried clique re-enumerated"
                 );
-                if reuse && !clique.iter().any(|u| self.closure.flag[u.index()]) {
-                    scores.push(score);
-                } else {
-                    rescore_idx.push(cliques.len());
-                    scores.push(0.0);
-                }
+                stats.cliques_reused += 1;
                 cliques.push(clique);
             }
-            for n in new_iter {
-                rescore_idx.push(cliques.len());
-                cliques.push(n);
-                scores.push(0.0);
-            }
-        }
-
-        // 3) Re-score stale and new cliques in one batch. Nothing carried
-        //    → score the list directly; otherwise the stale cliques are
-        //    moved out and back (pointer swaps), never cloned.
-        if rescore_idx.len() == cliques.len() {
-            scores = self.score_pass(scorer, &cliques);
-        } else if !rescore_idx.is_empty() {
-            let mut gathered: Vec<Vec<NodeId>> = rescore_idx
-                .iter()
-                .map(|&i| std::mem::take(&mut cliques[i]))
-                .collect();
-            let rescored = self.score_pass(scorer, &gathered);
-            for (j, &i) in rescore_idx.iter().enumerate() {
-                cliques[i] = std::mem::take(&mut gathered[j]);
-                scores[i] = rescored[j];
-            }
-        }
-        stats.cliques_rescored = rescore_idx.len();
-        stats.cliques_reused = cliques.len() - rescore_idx.len();
-
-        self.changed.clear();
+            cliques.extend(new_iter);
+            cliques
+        };
         self.removed.clear();
-        (cliques, scores)
+        cliques
     }
 
     /// Scores one batch against the residual view, syncing the MHH memo
@@ -597,7 +479,7 @@ impl SearchEngine {
     /// Commits `clique` as a hyperedge if all its edges are still
     /// present in the residual: adds one copy to `reconstruction`,
     /// decrements every constituent pair of the view, and records the
-    /// dirty vertices. Returns whether the commit happened.
+    /// removed and changed vertices. Returns whether the commit happened.
     fn try_commit(&mut self, clique: &[NodeId], reconstruction: &mut Hypergraph) -> bool {
         if !self.view.is_clique(clique) {
             return false;
@@ -613,16 +495,15 @@ impl SearchEngine {
             }
         }
         for &u in clique {
-            self.changed.mark(u);
             self.mhh_stale.mark(u);
         }
         true
     }
 
-    fn store_prev(&mut self, cliques: Vec<Vec<NodeId>>, scores: Vec<f64>) {
-        self.prev_cliques = cliques;
-        self.prev_scores = scores;
-        self.has_prev = true;
+    fn store_prev(&mut self, cliques: Vec<Vec<NodeId>>) {
+        if self.incremental {
+            self.prev_cliques = Some(cliques);
+        }
     }
 }
 
@@ -658,9 +539,8 @@ mod tests {
         g
     }
 
-    /// A local scorer (pair-weight based), reuse-safe by construction but
-    /// declared unsafe via FnScorer's default — so the engine rescans
-    /// every clique yet must still match the one-shot path bit for bit.
+    /// A pair-weight scorer: every round rescores its whole clique list,
+    /// which must still match the one-shot path bit for bit.
     fn weight_scorer() -> impl CliqueScorer {
         FnScorer(|g: &GraphView, c: &[NodeId]| {
             let w: u32 = c
@@ -765,7 +645,7 @@ mod tests {
     #[test]
     fn engine_reuses_cliques_across_rounds() {
         // Two far-apart triangles; committing one leaves the other's
-        // clique (and score, for a reuse-safe scorer) untouched.
+        // clique untouched, so round 2 carries it without re-enumeration.
         let mut g = ProjectedGraph::new(6);
         for (u, v) in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)] {
             g.add_edge_weight(NodeId(u), NodeId(v), 1);
@@ -776,9 +656,6 @@ mod tests {
                 for (c, o) in cliques.iter().zip(out.iter_mut()) {
                     *o = if c.contains(&NodeId(0)) { 0.9 } else { 0.4 };
                 }
-            }
-            fn score_locality(&self) -> ScoreLocality {
-                ScoreLocality::OneHop
             }
         }
         let mut rec = Hypergraph::new(6);
@@ -797,7 +674,7 @@ mod tests {
         assert_eq!(s1.cliques_rescored, 2, "first round scores everything");
         assert_eq!(s1.cliques_reused, 0);
         // Round 2: {0,1,2} was removed entirely; {3,4,5} is disjoint from
-        // the dirty closure, so its clique *and* score are carried.
+        // the removed set, so its clique is carried (and rescored).
         let s2 = round(
             &mut engine,
             &LocalScorer,
@@ -809,7 +686,7 @@ mod tests {
         );
         assert_eq!(s2.cliques_enumerated, 1);
         assert_eq!(s2.cliques_reused, 1);
-        assert_eq!(s2.cliques_rescored, 0);
+        assert_eq!(s2.cliques_rescored, 1);
         assert_eq!(s2.committed_phase1, 1);
         assert_eq!(engine.residual().num_edges(), 0);
     }
@@ -848,8 +725,12 @@ mod tests {
             assert_eq!(g_inc, g_full);
             assert_eq!(rec_inc, rec_full);
             assert_eq!(stats_inc, stats_full, "algorithmic stats must agree");
-            // The rebuild engine reuses nothing, by definition.
+            // The rebuild engine reuses nothing, by definition, and both
+            // engines score every listed clique.
             assert!(stats_full.iter().all(|s| s.cliques_reused == 0));
+            for s in stats_inc.iter().chain(&stats_full) {
+                assert_eq!(s.cliques_rescored, s.cliques_enumerated);
+            }
         }
     }
 }

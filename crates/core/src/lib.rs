@@ -84,22 +84,18 @@
 //! and batched ([`CliqueScorer::score_batch`]) — are bit-identical by
 //! construction and by test.
 //!
-//! # The dirty-closure invariant
+//! # The removed-set invariant
 //!
 //! Across rounds, the only mutation is a commit decrementing the edges
 //! inside a committed clique `C`. The run-long
 //! [`engine::SearchEngine`] therefore rebuilds nothing wholesale: it
-//! decrements the CSR view and patches the MHH memo in place,
+//! decrements the CSR view and patches the MHH memo in place, and
 //! re-enumerates maximal cliques only around endpoints of *removed*
-//! edges, and re-scores only cliques intersecting the **dirty closure**
-//! `C ∪ N(C)`. The closure includes *neighbours* of committed vertices
-//! because clique features read common-neighbourhood structure up to two
-//! hops — the square-motif counts of [`FeatureMode::Motif`] inspect
-//! edges *between* neighbours, so a weight change on `(a, b)` can perturb
-//! the score of a clique that merely neighbours `a`. Everything outside
-//! the closure is carried over bit-for-bit; the engine-parity suite
-//! proves the incremental and rebuild-every-round paths identical for
-//! every seed, thread count and variant.
+//! edges — every maximal clique that appears or dies contains one, so
+//! the rest of the previous round's list is carried over unchanged.
+//! Every round then scores its whole clique list. The engine-parity
+//! suite proves the incremental and rebuild-every-round paths identical
+//! for every seed, thread count and variant.
 
 #![warn(missing_docs)]
 
@@ -122,7 +118,7 @@ pub mod variants;
 pub use engine::SearchEngine;
 pub use error::MariohError;
 pub use features::FeatureMode;
-pub use model::{CliqueScorer, ScoreLocality, TrainedModel};
+pub use model::{CliqueScorer, TrainedModel};
 pub use persistence::{SavedModel, MODEL_FORMAT_VERSION};
 pub use pipeline::{Pipeline, PipelineBuilder, Reconstructor};
 pub use progress::{CancelToken, NoopObserver, ProgressObserver};

@@ -24,35 +24,6 @@ pub trait CliqueScorer: Sync {
     ///
     /// Implementations may panic when `cliques.len() != out.len()`.
     fn score_batch(&self, round: &RoundContext<'_>, cliques: &[Vec<NodeId>], out: &mut [f64]);
-
-    /// How far from the clique this scorer's inputs reach — the contract
-    /// that lets the cross-round [`crate::engine::SearchEngine`] carry
-    /// scores forward instead of recomputing them (bit-identical by
-    /// purity, since a score whose entire input neighbourhood is
-    /// untouched recomputes to the same bits).
-    ///
-    /// Defaults to [`ScoreLocality::Global`] (always rescore — correct
-    /// for *any* scorer, including closures reading global graph state).
-    /// [`TrainedModel`] overrides it per feature mode.
-    fn score_locality(&self) -> ScoreLocality {
-        ScoreLocality::Global
-    }
-}
-
-/// The input radius of a [`CliqueScorer`], declared so the incremental
-/// engine knows which carried scores a commit can invalidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreLocality {
-    /// The score may read arbitrary graph state; never reuse it.
-    Global,
-    /// The score reads only edges *incident to clique members* (weighted
-    /// degrees, pair weights, MHH, embeddedness, maximality): a clique
-    /// is stale only if it contains an endpoint of a changed edge.
-    OneHop,
-    /// The score additionally reads edges *among neighbours* (square
-    /// motifs): a clique is stale if it intersects the changed set or
-    /// its neighbourhood.
-    TwoHop,
 }
 
 /// A trained classifier `M`: an MLP over scaled clique features.
@@ -106,20 +77,6 @@ impl CliqueScorer for TrainedModel {
                 self.scaler.transform_in_place(row);
             }
             self.mlp.predict_rows_with(rows, outs, &mut mlp_scratch);
-        }
-    }
-
-    fn score_locality(&self) -> ScoreLocality {
-        // Multiplicity/Count features read only edges incident to clique
-        // members: weighted degree, pair weight, MHH (Σ over common
-        // neighbours of min(ω_{u,z}, ω_{v,z}) — edges at u or v),
-        // embeddedness, and maximality (candidate extensions probe edges
-        // at clique members). Motif's square counts additionally read
-        // the edge *between* two neighbours (`u–a–b–v` with `(a, b)` an
-        // edge), reaching one hop further.
-        match self.mode {
-            FeatureMode::Motif => ScoreLocality::TwoHop,
-            FeatureMode::Multiplicity | FeatureMode::Count => ScoreLocality::OneHop,
         }
     }
 }

@@ -81,26 +81,25 @@ pub struct ReconstructionReport {
 }
 
 impl ReconstructionReport {
-    /// Total cliques whose enumeration and score were carried across
-    /// rounds by the incremental engine (0 for rebuild-every-round runs).
+    /// Total listed cliques carried across rounds without re-enumeration
+    /// by the incremental engine (0 for rebuild-every-round runs).
     pub fn cliques_reused(&self) -> usize {
         self.rounds.iter().map(|r| r.cliques_reused).sum()
     }
 
-    /// Total cliques (re-)scored across all rounds.
+    /// Total listed cliques scored across all rounds.
     pub fn cliques_rescored(&self) -> usize {
         self.rounds.iter().map(|r| r.cliques_rescored).sum()
     }
 
-    /// Share of clique evaluations answered from the previous round's
-    /// state: `reused / (reused + rescored)`, or 0 when nothing ran.
+    /// Share of scored cliques whose list entry was carried from the
+    /// previous round: `reused / rescored`, or 0 when nothing ran.
     pub fn reuse_ratio(&self) -> f64 {
-        let reused = self.cliques_reused();
-        let total = reused + self.cliques_rescored();
-        if total == 0 {
+        let rescored = self.cliques_rescored();
+        if rescored == 0 {
             0.0
         } else {
-            reused as f64 / total as f64
+            self.cliques_reused() as f64 / rescored as f64
         }
     }
 }
@@ -154,9 +153,9 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     let mut total_committed = 0usize;
     // One engine for the whole run: it freezes the (filtered) graph once
     // and owns the residual from then on; the MHH memo, worker pool and
-    // previous round's cliques/scores persist across rounds (commits
-    // invalidate only their dirty closure). Bit-identical to rebuilding
-    // per round — `incremental: false` forces the rebuild path.
+    // previous round's clique list persist across rounds (commits
+    // invalidate only the region around removed edges). Bit-identical to
+    // rebuilding per round — `incremental: false` forces the rebuild path.
     let work = filtered.as_ref().unwrap_or(g);
     let mut engine = if cfg.incremental {
         SearchEngine::new(work, cfg.threads)

@@ -30,10 +30,11 @@ pub struct SearchStats {
     pub committed_phase2: usize,
     /// Wall-clock milliseconds this round took (telemetry; not compared).
     pub round_ms: f64,
-    /// Cliques whose enumeration *and* score were carried over from the
-    /// previous round (telemetry; not compared).
+    /// Listed cliques carried over from the previous round's list
+    /// without re-enumeration (telemetry; not compared).
     pub cliques_reused: usize,
-    /// Cliques (re-)scored this round (telemetry; not compared).
+    /// Listed cliques scored this round: the whole list, whenever the
+    /// round reaches scoring (telemetry; not compared).
     pub cliques_rescored: usize,
 }
 

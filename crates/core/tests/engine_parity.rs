@@ -1,8 +1,8 @@
 //! Bit-parity of the cross-round incremental engine.
 //!
-//! The [`marioh_core::SearchEngine`] carries cliques, scores, the CSR
-//! view and the MHH memo across outer-loop rounds, invalidating only the
-//! dirty closure of each round's commits. This suite pins the hard
+//! The [`marioh_core::SearchEngine`] carries its clique list, the CSR
+//! view and the MHH memo across outer-loop rounds, re-enumerating only
+//! around the removed edges of each round's commits. This suite pins the hard
 //! contract: for every seed, thread count, variant and feature mode the
 //! incremental path is **bit-identical** to the rebuild-every-round path —
 //! same reconstruction, same residual graph, same per-round statistics,
@@ -120,7 +120,7 @@ fn run_reconstruction(
 fn incremental_reconstruction_is_bit_identical_to_rebuild() {
     let cases: [(Variant, FeatureMode); 4] = [
         (Variant::Full, FeatureMode::Multiplicity),
-        (Variant::Full, FeatureMode::Motif), // 2-hop features: closure must include neighbours
+        (Variant::Full, FeatureMode::Motif), // 2-hop features
         (Variant::NoBidirectional, FeatureMode::Multiplicity), // MARIOH-B
         (Variant::NoFiltering, FeatureMode::Count), // MARIOH-F
     ];
@@ -259,9 +259,6 @@ fn engine_parity_on_dense_random_graphs() {
                     .sum();
                 *o = f64::from(w) / (2.0 + f64::from(w));
             }
-        }
-        fn score_locality(&self) -> marioh_core::ScoreLocality {
-            marioh_core::ScoreLocality::OneHop // pair weights are 1-hop local
         }
     }
     let mut seed_rng = StdRng::seed_from_u64(999);

@@ -62,11 +62,12 @@ pub struct ServerStats {
     /// never increment it; counted through the observer's
     /// `on_training_done`).
     pub models_trained: u64,
-    /// Clique evaluations the incremental search engine answered from
-    /// the previous round's state, summed over every round of every job
-    /// this process ran (streamed in through the progress observer).
+    /// Listed cliques the incremental search engine carried from the
+    /// previous round without re-enumeration, summed over every round of
+    /// every job this process ran (streamed in through the progress
+    /// observer).
     pub cliques_reused: u64,
-    /// Clique evaluations actually (re-)scored, same scope.
+    /// Listed cliques scored, same scope.
     pub cliques_rescored: u64,
     /// Results currently in the artifact cache.
     pub results_cached: usize,

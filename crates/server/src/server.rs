@@ -735,10 +735,10 @@ fn stats_body(manager: &JobManager) -> Json {
         ),
         (
             "search_reuse_ratio".into(),
-            Json::num(if s.cliques_reused + s.cliques_rescored == 0 {
+            Json::num(if s.cliques_rescored == 0 {
                 0.0
             } else {
-                s.cliques_reused as f64 / (s.cliques_reused + s.cliques_rescored) as f64
+                s.cliques_reused as f64 / s.cliques_rescored as f64
             }),
         ),
         ("results_cached".into(), Json::num(s.results_cached as f64)),

@@ -1670,7 +1670,7 @@ fn strip_container<'a>(data: &'a [u8], header: &str) -> Option<&'a [u8]> {
     prefix.strip_prefix(b"\n")
 }
 
-fn encode_result_container(result: &JobResult) -> Vec<u8> {
+pub(crate) fn encode_result_container(result: &JobResult) -> Vec<u8> {
     let plain = encode_result(result);
     let mut out = Vec::with_capacity(plain.len() / 2 + RESULT_CONTAINER.len() + 8);
     out.extend_from_slice(RESULT_CONTAINER.as_bytes());
@@ -1998,7 +1998,7 @@ fn apply_job_record(table: &mut RecordTable, record: &Json) -> Result<(), Marioh
                 .get("cached")
                 .and_then(Json::as_bool)
                 .unwrap_or(false);
-            table.mark_done_replayed(id, cached);
+            table.mark_done_by_hash(id, cached);
         }
         "failed" => {
             table.transition(id, Transition::Failed(get_str(record, "error")?.to_owned()));

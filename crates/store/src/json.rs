@@ -42,6 +42,7 @@ impl Json {
     /// A human-readable message naming the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -123,6 +124,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -276,13 +278,18 @@ impl Parser<'_> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged;
-                    // the input is already a valid &str.
+                    // Copy the whole run of plain bytes at once. The run
+                    // stops only at ASCII bytes, so it ends on a char
+                    // boundary of the input, which is already a valid &str.
                     let start = self.pos;
-                    let text = std::str::from_utf8(&self.bytes[start..]).expect("input was a str");
-                    let c = text.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    while self
+                        .bytes
+                        .get(self.pos)
+                        .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -291,9 +298,8 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
         let digits = self
-            .bytes
+            .text
             .get(self.pos..end)
-            .and_then(|d| std::str::from_utf8(d).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let v = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
@@ -311,7 +317,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         let v: f64 = text
             .parse()
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;

@@ -35,9 +35,10 @@ pub struct StoreCounters {
 }
 
 /// Counts and byte totals of cached artifacts. Byte totals are the
-/// *encoded* sizes the store actually holds — post-compression for the
-/// disk store's v2 artifacts, plain encoding for the in-memory store —
-/// so `/stats` reports the real footprint, not the logical one.
+/// *encoded* sizes the store actually holds — post-compression for
+/// results and the disk store's v2 models, plain encoding for the
+/// in-memory store's models — so `/stats` reports the real footprint,
+/// not the logical one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArtifactStats {
     /// Cached job results.
@@ -237,7 +238,8 @@ pub(crate) struct Record {
     pub committed: usize,
     pub error: Option<String>,
     /// Shared, not cloned, on reads. The disk store leaves this `None`
-    /// for replayed `Done` records and loads the artifact lazily.
+    /// for replayed `Done` records and loads the artifact lazily; the
+    /// memory store always leaves it `None` and decodes its artifact.
     pub result: Option<Arc<JobResult>>,
     pub cached: bool,
 }
@@ -461,9 +463,10 @@ impl RecordTable {
         self.finished = counters.finished;
     }
 
-    /// Marks a replayed record `Done` without a result in memory — the
-    /// durable store reloads the artifact lazily by spec hash.
-    pub(crate) fn mark_done_replayed(&mut self, id: u64, cached: bool) {
+    /// Marks a record `Done` without a result in memory: the store reads
+    /// the artifact by spec hash instead (the durable store for replayed
+    /// records, the memory store for every record).
+    pub(crate) fn mark_done_by_hash(&mut self, id: u64, cached: bool) {
         let Some(record) = self.jobs.get_mut(&id) else {
             return;
         };
@@ -503,12 +506,14 @@ impl RecordTable {
     }
 }
 
-/// In-memory artifacts, each paired with its encoded size so
-/// [`ArtifactStore::artifact_stats`] reports byte totals consistent
-/// with the disk backend.
+/// In-memory artifacts. Results are held as the compressed container
+/// bytes the disk store writes, so retained memory tracks the encoded
+/// size rather than throughput; models are paired with their encoded
+/// size so [`ArtifactStore::artifact_stats`] reports byte totals
+/// consistent with the disk backend.
 #[derive(Default)]
 struct MemoryArtifacts {
-    results: HashMap<SpecHash, (Arc<JobResult>, u64)>,
+    results: HashMap<SpecHash, Arc<[u8]>>,
     models: HashMap<SpecHash, (SavedModel, u64)>,
     named: std::collections::BTreeMap<String, (SavedModel, u64)>,
 }
@@ -542,6 +547,13 @@ impl MemoryStore {
     fn artifacts(&self) -> std::sync::MutexGuard<'_, MemoryArtifacts> {
         self.artifacts.lock().expect("artifact store lock poisoned")
     }
+
+    /// The encoded result cached under `hash`, decoded outside the lock.
+    fn decode_result(&self, hash: &SpecHash) -> Option<Arc<JobResult>> {
+        let bytes = self.artifacts().results.get(hash).cloned()?;
+        let result = crate::disk::decode_result(&bytes).expect("memory store encoded this result");
+        Some(Arc::new(result))
+    }
 }
 
 impl Default for MemoryStore {
@@ -560,7 +572,19 @@ impl JobStore for MemoryStore {
     }
 
     fn transition(&self, id: u64, t: Transition) -> Option<JobStatus> {
-        self.table().transition(id, t)
+        let Transition::Done { result, cached } = t else {
+            return self.table().transition(id, t);
+        };
+        // The record keeps no decoded result: `result` reads the cached
+        // artifact. Callers store it first (`put_result`, or it came from
+        // `get_result`); one that did not gets it stored here, so a
+        // `Done` record always has its bytes.
+        let hash = self.table().get(id)?.hash;
+        self.put_result(&hash, &result)
+            .expect("memory store put cannot fail");
+        let mut table = self.table();
+        table.mark_done_by_hash(id, cached);
+        table.get(id).map(|r| r.status)
     }
 
     fn view(&self, id: u64) -> Option<JobView> {
@@ -568,9 +592,16 @@ impl JobStore for MemoryStore {
     }
 
     fn result(&self, id: u64) -> Option<(JobStatus, Option<Arc<JobResult>>)> {
-        let table = self.table();
-        let record = table.get(id)?;
-        Some((record.status, record.result.clone()))
+        let (status, hash) = {
+            let table = self.table();
+            let record = table.get(id)?;
+            (record.status, record.hash)
+        };
+        let result = match status {
+            JobStatus::Done => self.decode_result(&hash),
+            _ => None,
+        };
+        Some((status, result))
     }
 
     fn spec_hash(&self, id: u64) -> Option<SpecHash> {
@@ -592,16 +623,18 @@ impl JobStore for MemoryStore {
 
 impl ArtifactStore for MemoryStore {
     fn put_result(&self, hash: &SpecHash, result: &Arc<JobResult>) -> Result<(), MariohError> {
-        let mut artifacts = self.artifacts();
-        if !artifacts.results.contains_key(hash) {
-            let bytes = crate::disk::encode_result(result).len() as u64;
-            artifacts.results.insert(*hash, (Arc::clone(result), bytes));
+        if !self.artifacts().results.contains_key(hash) {
+            let encoded = crate::disk::encode_result_container(result);
+            self.artifacts()
+                .results
+                .entry(*hash)
+                .or_insert_with(|| encoded.into());
         }
         Ok(())
     }
 
     fn get_result(&self, hash: &SpecHash) -> Option<Arc<JobResult>> {
-        let found = self.artifacts().results.get(hash).map(|(r, _)| r.clone());
+        let found = self.decode_result(hash);
         record_cache_probe("result", found.is_some());
         found
     }
@@ -664,7 +697,7 @@ impl ArtifactStore for MemoryStore {
         ArtifactStats {
             results: artifacts.results.len(),
             models: artifacts.models.len() + artifacts.named.len(),
-            result_bytes: artifacts.results.values().map(|(_, b)| b).sum(),
+            result_bytes: artifacts.results.values().map(|b| b.len() as u64).sum(),
             model_bytes: artifacts.models.values().map(|(_, b)| b).sum::<u64>()
                 + artifacts.named.values().map(|(_, b)| b).sum::<u64>(),
         }
@@ -757,6 +790,45 @@ mod tests {
         let listed = store.list_models();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].name.as_deref(), Some("good-name"));
+    }
+
+    #[test]
+    fn done_records_hold_no_decoded_result() {
+        use marioh_hypergraph::hyperedge::edge;
+        let store = MemoryStore::default();
+        let id = submit(&store, r#"{"dataset": "Hosts", "seed": 9}"#);
+        let hash = store.spec_hash(id).unwrap();
+        store.start(id).unwrap();
+        let mut h = marioh_hypergraph::Hypergraph::new(0);
+        h.add_edge(edge(&[0, 1, 2]));
+        h.add_edge(edge(&[2, 3]));
+        let result = Arc::new(JobResult {
+            reconstruction: h,
+            jaccard: 0.5,
+        });
+        store.put_result(&hash, &result).unwrap();
+        let status = store.transition(
+            id,
+            Transition::Done {
+                result: Arc::clone(&result),
+                cached: false,
+            },
+        );
+        assert_eq!(status, Some(JobStatus::Done));
+        assert_eq!(
+            Arc::strong_count(&result),
+            1,
+            "the store kept a decoded copy"
+        );
+        let (status, served) = store.result(id).unwrap();
+        assert_eq!(status, JobStatus::Done);
+        let served = served.expect("done job serves its result");
+        assert_eq!(served.reconstruction, result.reconstruction);
+        assert_eq!(served.jaccard.to_bits(), result.jaccard.to_bits());
+        assert_eq!(
+            store.artifact_stats().result_bytes,
+            crate::disk::encode_result_container(&result).len() as u64
+        );
     }
 
     fn dummy_model() -> SavedModel {

@@ -58,9 +58,9 @@ pub enum Message {
         rounds: Option<u64>,
         /// Hyperedges committed so far, if this update carries one.
         committed: Option<u64>,
-        /// Cliques reused from the previous round in this update.
+        /// Listed cliques carried from the previous round in this update.
         reused: u64,
-        /// Cliques rescored in this update.
+        /// Listed cliques scored in this update.
         rescored: u64,
         /// Whether a model finished training in this update.
         trained: bool,

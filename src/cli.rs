@@ -95,7 +95,7 @@ impl ProgressObserver for VerboseProgress {
             stats.committed_phase2,
             stats.subcliques_sampled,
             stats.cliques_reused,
-            stats.cliques_reused + stats.cliques_rescored,
+            stats.cliques_rescored,
             stats.round_ms
         );
     }
@@ -111,10 +111,10 @@ impl ProgressObserver for VerboseProgress {
         let snap = marioh_obs::global().snapshot();
         let reused = snap.counter("marioh_engine_cliques_reused_total");
         let rescored = snap.counter("marioh_engine_cliques_rescored_total");
-        let ratio = if reused + rescored == 0 {
+        let ratio = if rescored == 0 {
             0.0
         } else {
-            reused as f64 / (reused + rescored) as f64
+            reused as f64 / rescored as f64
         };
         eprintln!(
             "[done] filtering {:.3}s, search {:.3}s over {} rounds \
@@ -441,7 +441,10 @@ pub fn run(command: &str, flags: &Flags) -> Result<String, MariohError> {
             let server = Server::start_with_storage(serve_config(flags)?, storage_config(flags)?)?;
             let addr = server.local_addr();
             let stats = server.manager().stats();
-            eprintln!(
+            // Formatted first and written in one piece: stderr is
+            // unbuffered, and a reader polling for the banner must never
+            // see the address without its port.
+            let banner = format!(
                 "marioh-server listening on http://{addr} ({}, queue capacity {}, {} store{})",
                 if stats.shards > 0 {
                     format!("{} shard processes", stats.shards)
@@ -456,6 +459,7 @@ pub fn run(command: &str, flags: &Flags) -> Result<String, MariohError> {
                     String::new()
                 }
             );
+            eprintln!("{banner}");
             // `--smoke` boots and immediately shuts down gracefully —
             // deployment checks and the test suite use it.
             if flags.switch("smoke") {
