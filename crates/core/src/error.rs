@@ -23,6 +23,8 @@ pub enum MariohError {
     Hypergraph(HypergraphError),
     /// The run was cancelled through a [`crate::CancelToken`].
     Cancelled,
+    /// A bug, not a bad input: e.g. a panic caught at a job boundary.
+    Internal(String),
 }
 
 impl MariohError {
@@ -56,6 +58,7 @@ impl MariohError {
             MariohError::Io(_) | MariohError::Hypergraph(HypergraphError::Io(_)) => 3,
             MariohError::Cancelled => 130,
             MariohError::ModelFormat(_) | MariohError::Hypergraph(_) => 1,
+            MariohError::Internal(_) => 1,
         }
     }
 }
@@ -68,6 +71,7 @@ impl fmt::Display for MariohError {
             MariohError::ModelFormat(msg) => f.write_str(msg),
             MariohError::Hypergraph(e) => write!(f, "{e}"),
             MariohError::Cancelled => f.write_str("reconstruction cancelled"),
+            MariohError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -131,6 +135,7 @@ mod tests {
         );
         assert_eq!(MariohError::Cancelled.exit_code(), 130);
         assert_eq!(MariohError::ModelFormat("corrupt".into()).exit_code(), 1);
+        assert_eq!(MariohError::Internal("bug".into()).exit_code(), 1);
         assert_eq!(
             MariohError::from(HypergraphError::InvalidEdge("e".into())).exit_code(),
             1

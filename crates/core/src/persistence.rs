@@ -93,6 +93,14 @@ impl SavedModel {
         Ok(())
     }
 
+    /// The [`SavedModel::write_to`] encoding as bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.write_to(&mut bytes)
+            .expect("writing a model to a Vec cannot fail");
+        bytes
+    }
+
     /// Reads a model written by [`SavedModel::write_to`] (or the legacy
     /// `v1` layout, which carries no RNG state).
     ///

@@ -28,6 +28,7 @@
 //! crash), in which case re-running would only burn CPU to produce the
 //! same bytes.
 
+use crate::exec::{run_encoded, Emit};
 use crate::shard_worker;
 use marioh_core::CancelToken;
 use marioh_wire::{
@@ -545,14 +546,7 @@ impl Dispatcher {
             // Crash-loop breaker open: run the job in this process
             // instead of feeding a respawn loop.
             drop(shards);
-            self.core.execute_local(
-                shard,
-                job.id,
-                job.spec_hash,
-                job.spec_json,
-                job.model,
-                job.cancel,
-            );
+            self.core.execute_local(shard, job);
             return Ok(());
         }
         let inflight = Inflight {
@@ -1039,29 +1033,24 @@ impl Core {
             }
             self.execute_local(
                 shard,
-                job,
-                inflight.spec_hash,
-                inflight.spec_json,
-                inflight.model,
-                inflight.cancel,
+                DispatchJob {
+                    id: job,
+                    spec_hash: inflight.spec_hash,
+                    spec_json: inflight.spec_json,
+                    model: inflight.model,
+                    cancel: inflight.cancel,
+                },
             );
         }
     }
 
     /// Runs one job in this process on its own thread — the degraded
-    /// path while a shard's breaker is open. The outcome flows back
-    /// through the merger as an [`Inbound::Local`], so the sink sees
-    /// the same `Done`/`Failed` events a worker would have produced
+    /// path while a shard's breaker is open. It goes through the same
+    /// runner as a shard worker, and every event it emits (progress, then
+    /// `Done`/`Failed`) flows back through the merger as an
+    /// [`Inbound::Local`], so the sink sees what a worker would have sent
     /// (and, jobs being deterministic, the same bytes).
-    fn execute_local(
-        self: &Arc<Self>,
-        shard: usize,
-        job: u64,
-        spec_hash: [u8; 32],
-        spec_json: String,
-        model: Option<Vec<u8>>,
-        cancel: CancelToken,
-    ) {
+    fn execute_local(self: &Arc<Self>, shard: usize, job: DispatchJob) {
         let label = shard.to_string();
         marioh_obs::global()
             .counter_with(
@@ -1069,26 +1058,29 @@ impl Core {
                 &[("shard", label.as_str())],
             )
             .inc();
+        let id = job.id;
         self.local_jobs
             .lock()
             .expect("local jobs lock poisoned")
-            .push((job, cancel.clone()));
+            .push((id, job.cancel.clone()));
+        let tx = self.tx.lock().expect("sender lock poisoned").clone();
+        let emit: Emit = Arc::new(move |event| {
+            let _ = tx.send(Inbound::Local {
+                events: vec![event],
+            });
+        });
         let core = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("marioh-dispatch-local-{shard}"))
-            .spawn(move || {
-                let event = run_local(job, spec_hash, &spec_json, model, cancel);
-                core.local_jobs
-                    .lock()
-                    .expect("local jobs lock poisoned")
-                    .retain(|(id, _)| *id != job);
-                let _ = core
-                    .tx
-                    .lock()
-                    .expect("sender lock poisoned")
-                    .send(Inbound::Local {
-                        events: vec![event],
-                    });
+            .spawn({
+                let emit = Arc::clone(&emit);
+                move || {
+                    run_encoded(job, emit);
+                    core.local_jobs
+                        .lock()
+                        .expect("local jobs lock poisoned")
+                        .retain(|(local, _)| *local != id);
+                }
             });
         match handle {
             Ok(handle) => self
@@ -1096,21 +1088,13 @@ impl Core {
                 .lock()
                 .expect("side threads lock poisoned")
                 .push(handle),
-            Err(e) => {
-                // Thread spawn failing is resource exhaustion; report
-                // the job failed rather than losing it silently.
-                let _ = self
-                    .tx
-                    .lock()
-                    .expect("sender lock poisoned")
-                    .send(Inbound::Local {
-                        events: vec![DispatchEvent::Failed {
-                            job,
-                            message: format!("could not start in-process execution: {e}"),
-                            cancelled: false,
-                        }],
-                    });
-            }
+            // Thread spawn failing is resource exhaustion; report the job
+            // failed rather than losing it silently.
+            Err(e) => emit(DispatchEvent::Failed {
+                job: id,
+                message: format!("could not start in-process execution: {e}"),
+                cancelled: false,
+            }),
         }
     }
 
@@ -1159,68 +1143,6 @@ impl Core {
                 shards[shard].breaker_open_since = Some(Instant::now());
             }
         }
-    }
-}
-
-/// The body of one in-process (breaker-open) job execution: the same
-/// parse → decode → [`execute_job`] path a shard worker runs, reported
-/// as a [`DispatchEvent`] instead of wire frames. Per-round progress is
-/// not streamed on this path — breaker-open operation is explicitly
-/// degraded — but results are byte-identical.
-fn run_local(
-    job: u64,
-    spec_hash: [u8; 32],
-    spec_json: &str,
-    model_bytes: Option<Vec<u8>>,
-    cancel: CancelToken,
-) -> DispatchEvent {
-    let spec = match marioh_store::Json::parse(spec_json)
-        .map_err(|e| e.to_string())
-        .and_then(|json| marioh_store::JobSpec::from_json(&json).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(message) => {
-            return DispatchEvent::Failed {
-                job,
-                message: format!("in-process execution could not parse spec: {message}"),
-                cancelled: false,
-            };
-        }
-    };
-    let reuse = match model_bytes {
-        Some(bytes) => match marioh_core::SavedModel::read_from(&bytes[..]) {
-            Ok(saved) => Some(saved),
-            Err(e) => {
-                return DispatchEvent::Failed {
-                    job,
-                    message: format!("in-process execution could not decode model: {e}"),
-                    cancelled: false,
-                };
-            }
-        },
-        None => None,
-    };
-    match crate::exec::execute_job(spec, reuse, Arc::new(marioh_core::NoopObserver), cancel) {
-        Ok((result, trained)) => {
-            let model = trained.map(|saved| {
-                let mut bytes = Vec::new();
-                saved
-                    .write_to(&mut bytes)
-                    .expect("writing a model to a Vec cannot fail");
-                bytes
-            });
-            DispatchEvent::Done {
-                job,
-                spec_hash,
-                payload: marioh_store::encode_result(&result),
-                model,
-            }
-        }
-        Err(e) => DispatchEvent::Failed {
-            job,
-            message: e.to_string(),
-            cancelled: matches!(e, marioh_core::MariohError::Cancelled),
-        },
     }
 }
 

@@ -1,17 +1,25 @@
-//! Job execution, shared by the in-process worker pool and the shard
-//! worker processes.
+//! The job runner: the one place every serving mode runs a job.
 //!
-//! This is the single definition of "run one job": throttle pacing,
-//! input resolution, the seeded split → train → reconstruct pipeline,
-//! and model reuse with RNG-state restoration. Both serving modes call
-//! it, which is what makes `--shards N` results bit-identical to
-//! `--workers N` — there is only one execution path to agree with.
+//! [`run_dispatched`] is called by the in-process worker pool, by shard
+//! worker processes, and by the dispatcher's breaker reroute. It builds
+//! the job's progress observer, which reports through a [`DispatchEvent`]
+//! callback and applies the per-round `throttle_ms` pacing. It runs
+//! [`execute_job`] inside a panic boundary and returns the typed outcome.
+//! A panicking job fails with an `internal error`, is counted in
+//! `marioh_jobs_panicked_total`, and leaves its thread alive.
+//!
+//! [`execute_job`] is the single definition of the job itself: input
+//! resolution, the seeded split → train → reconstruct pipeline, and model
+//! reuse with RNG-state restoration. There is one execution path, which
+//! is what makes `--shards N` results bit-identical to `--workers N`.
 //!
 //! Dataset inputs are resolved through a small process-wide memo:
 //! generation is deterministic (each registry dataset has a fixed
 //! generation seed), so a batch of jobs over the same dataset generates
 //! it once per process instead of once per job.
 
+use crate::dispatcher::{DispatchEvent, DispatchJob};
+use marioh_core::search::SearchStats;
 use marioh_core::{
     CancelToken, MariohError, Pipeline, ProgressObserver, Reconstructor as _, SavedModel,
 };
@@ -20,8 +28,9 @@ use marioh_datasets::PaperDataset;
 use marioh_hypergraph::metrics::jaccard;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::Hypergraph;
-use marioh_store::{JobInput, JobResult, JobSpec};
+use marioh_store::{encode_result, JobInput, JobResult, JobSpec, Json};
 use rand::{rngs::StdRng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -30,6 +39,9 @@ const SLEEP_SLICE: Duration = Duration::from_millis(10);
 
 /// Generated datasets kept per process; a batch rarely spans more.
 const DATASET_MEMO_CAP: usize = 8;
+
+/// Where a running job reports its events.
+pub type Emit = Arc<dyn Fn(DispatchEvent) + Send + Sync>;
 
 /// Sleeps for `ms` milliseconds in small slices, returning early (and
 /// reporting whether it completed) once `cancel` fires.
@@ -150,6 +162,148 @@ pub fn execute_job(
     ))
 }
 
+/// Runs one job through [`execute_job`], reporting progress through
+/// `emit`, with a panic inside the job contained at this boundary.
+///
+/// The observer emits [`DispatchEvent::Progress`] for every round (with
+/// the round's engine counters), commit, finished training and error
+/// note, and sleeps `throttle_ms` after each round. A non-cancel failure
+/// is emitted as an error note before it is returned. The outcome itself
+/// is returned, never emitted: each caller records it its own way.
+///
+/// # Errors
+///
+/// Whatever [`execute_job`] fails with, or [`MariohError::Internal`]
+/// when the job panicked.
+pub fn run_dispatched(
+    job: u64,
+    spec: JobSpec,
+    reuse: Option<SavedModel>,
+    cancel: CancelToken,
+    emit: Emit,
+) -> Result<(JobResult, Option<SavedModel>), MariohError> {
+    let observer = Arc::new(EmitObserver {
+        job,
+        throttle_ms: spec.throttle_ms,
+        cancel: cancel.clone(),
+        emit,
+    });
+    let outcome = contain_panics(|| {
+        if marioh_fault::hit("job.run") == Some(marioh_fault::Action::Panic) {
+            panic!("injected fault at job.run");
+        }
+        execute_job(spec, reuse, observer.clone(), cancel)
+    });
+    if let Err(e) = &outcome {
+        if !matches!(e, MariohError::Cancelled) {
+            observer.on_error(&e.to_string());
+        }
+    }
+    outcome
+}
+
+/// Runs `job`, turning a panic into [`MariohError::Internal`] and
+/// counting it in `marioh_jobs_panicked_total`.
+fn contain_panics<T>(job: impl FnOnce() -> Result<T, MariohError>) -> Result<T, MariohError> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        marioh_obs::global()
+            .counter("marioh_jobs_panicked_total")
+            .inc();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(MariohError::Internal(format!("job panicked: {message}")))
+    })
+}
+
+/// Runs a job as it travels on the wire: decodes the spec JSON and the
+/// model bytes, runs it through [`run_dispatched`], and emits the outcome
+/// as [`DispatchEvent::Done`] (with the artifact-store encoding of the
+/// result) or [`DispatchEvent::Failed`]. Shared by shard workers and the
+/// dispatcher's breaker reroute.
+pub(crate) fn run_encoded(job: DispatchJob, emit: Emit) {
+    let failed = |message: String, cancelled: bool| DispatchEvent::Failed {
+        job: job.id,
+        message,
+        cancelled,
+    };
+    let spec = Json::parse(&job.spec_json)
+        .map_err(|e| e.to_string())
+        .and_then(|json| JobSpec::from_json(&json).map_err(|e| e.to_string()));
+    let reuse = job.model.as_deref().map(SavedModel::read_from).transpose();
+    let event = match (spec, reuse) {
+        // Can only happen on a dispatcher bug: specs were validated at
+        // submission and re-encoded faithfully.
+        (Err(e), _) => failed(format!("could not parse dispatched spec: {e}"), false),
+        (_, Err(e)) => failed(format!("could not decode dispatched model: {e}"), false),
+        (Ok(spec), Ok(reuse)) => {
+            match run_dispatched(job.id, spec, reuse, job.cancel, Arc::clone(&emit)) {
+                Ok((result, trained)) => DispatchEvent::Done {
+                    job: job.id,
+                    spec_hash: job.spec_hash,
+                    payload: encode_result(&result),
+                    model: trained.as_ref().map(SavedModel::to_bytes),
+                },
+                Err(e) => failed(e.to_string(), matches!(e, MariohError::Cancelled)),
+            }
+        }
+    };
+    emit(event);
+}
+
+/// The runner's progress observer: every callback becomes one
+/// [`DispatchEvent::Progress`].
+struct EmitObserver {
+    job: u64,
+    throttle_ms: u64,
+    cancel: CancelToken,
+    emit: Emit,
+}
+
+impl EmitObserver {
+    fn progress(
+        &self,
+        rounds: Option<usize>,
+        committed: Option<usize>,
+        stats: Option<&SearchStats>,
+        trained: bool,
+        note: Option<String>,
+    ) {
+        (self.emit)(DispatchEvent::Progress {
+            job: self.job,
+            rounds: rounds.map(|r| r as u64),
+            committed: committed.map(|c| c as u64),
+            reused: stats.map_or(0, |s| s.cliques_reused as u64),
+            rescored: stats.map_or(0, |s| s.cliques_rescored as u64),
+            trained,
+            note,
+        });
+    }
+}
+
+impl ProgressObserver for EmitObserver {
+    fn on_round(&self, round: usize, _theta: f64, stats: &SearchStats) {
+        self.progress(Some(round), None, Some(stats), false, None);
+        if self.throttle_ms > 0 {
+            cancellable_sleep(self.throttle_ms, &self.cancel);
+        }
+    }
+
+    fn on_commit(&self, _round: usize, _committed: usize, total_committed: usize) {
+        self.progress(None, Some(total_committed), None, false, None);
+    }
+
+    fn on_training_done(&self, _secs: f64) {
+        self.progress(None, None, None, true, None);
+    }
+
+    fn on_error(&self, msg: &str) {
+        self.progress(None, None, None, false, Some(msg.to_owned()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +334,74 @@ mod tests {
         );
         let memo = DATASET_MEMO.lock().unwrap();
         assert!(memo.iter().any(|((name, _), _)| *name == "Hosts"));
+    }
+
+    #[test]
+    fn the_runner_streams_progress_and_returns_the_executed_result() {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let emit: Emit = Arc::new(move |event| sink.lock().unwrap().push(event));
+        let body = r#"{"dataset": "Hosts", "seed": 11}"#;
+        let (result, trained) =
+            run_dispatched(7, spec(body), None, CancelToken::new(), emit).expect("job runs");
+        assert!(trained.is_some());
+        let (direct, _) =
+            execute_job(spec(body), None, Arc::new(NoopObserver), CancelToken::new()).unwrap();
+        assert_eq!(result.jaccard.to_bits(), direct.jaccard.to_bits());
+        let events = events.lock().unwrap();
+        let progress = |pick: fn(&DispatchEvent) -> bool| events.iter().filter(|e| pick(e)).count();
+        assert_eq!(
+            progress(|e| matches!(
+                e,
+                DispatchEvent::Progress {
+                    job: 7,
+                    trained: true,
+                    ..
+                }
+            )),
+            1
+        );
+        assert_eq!(
+            progress(|e| matches!(
+                e,
+                DispatchEvent::Progress {
+                    rounds: Some(1),
+                    ..
+                }
+            )),
+            1
+        );
+        assert!(
+            progress(|e| matches!(
+                e,
+                DispatchEvent::Progress {
+                    committed: Some(_),
+                    ..
+                }
+            )) >= 1
+        );
+        assert_eq!(
+            progress(|e| !matches!(e, DispatchEvent::Progress { .. })),
+            0
+        );
+    }
+
+    #[test]
+    fn a_panic_is_contained_as_a_counted_internal_error() {
+        let panicked = || {
+            marioh_obs::global()
+                .counter("marioh_jobs_panicked_total")
+                .get()
+        };
+        let before = panicked();
+        let err = contain_panics(|| -> Result<(), MariohError> { panic!("boom") }).unwrap_err();
+        assert!(matches!(err, MariohError::Internal(_)));
+        assert_eq!(err.to_string(), "internal error: job panicked: boom");
+        let n = 3;
+        let err = contain_panics(|| -> Result<(), MariohError> { panic!("boom {n}") }).unwrap_err();
+        assert_eq!(err.to_string(), "internal error: job panicked: boom 3");
+        assert_eq!(panicked() - before, 2);
+        assert_eq!(contain_panics(|| Ok(5)).unwrap(), 5);
     }
 
     #[test]

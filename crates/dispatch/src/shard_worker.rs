@@ -1,6 +1,8 @@
 //! The shard-worker side of the wire protocol: a stateless process (or
 //! thread, in tests) that connects back to the dispatcher, handshakes,
-//! and turns `Dispatch` frames into `Progress`/`Result`/`Failed` frames.
+//! and runs each `Dispatch` frame through the job runner
+//! ([`crate::exec::run_dispatched`]), sending every event it emits back
+//! as the matching `Progress`/`Result`/`Failed` frame.
 //!
 //! Workers hold no job state of their own — every job arrives complete
 //! (spec JSON, spec hash, optional model bytes) and leaves complete (the
@@ -8,10 +10,9 @@
 //! makes SIGKILL recovery a pure dispatcher concern: re-sending the same
 //! `Dispatch` frame to a fresh worker reproduces the same bytes.
 
-use crate::exec::{cancellable_sleep, execute_job};
-use marioh_core::search::SearchStats;
-use marioh_core::{CancelToken, MariohError, ProgressObserver, SavedModel};
-use marioh_store::{encode_result, JobSpec, Json};
+use crate::dispatcher::{DispatchEvent, DispatchJob};
+use crate::exec::{run_encoded, Emit};
+use marioh_core::CancelToken;
 use marioh_wire::{client_handshake, FrameReader, FrameWriter, Message, WireError};
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -96,8 +97,26 @@ pub fn serve(stream: TcpStream, shard: usize) -> Result<(), WireError> {
                 let writer = Arc::clone(&writer);
                 let cancels = Arc::clone(&cancels);
                 let channel = frame.channel;
+                let dispatched = DispatchJob {
+                    id: job,
+                    spec_hash,
+                    spec_json,
+                    model,
+                    cancel,
+                };
                 jobs.push(std::thread::spawn(move || {
-                    run_job(&writer, channel, job, spec_hash, &spec_json, model, cancel);
+                    // Best-effort sends: if the dispatcher is gone, it
+                    // re-dispatches to a replacement worker anyway.
+                    let emit: Emit = {
+                        let writer = Arc::clone(&writer);
+                        Arc::new(move |event| {
+                            let _ = writer
+                                .lock()
+                                .expect("writer lock poisoned")
+                                .send(channel, &Message::from(event));
+                        })
+                    };
+                    run_encoded(dispatched, emit);
                     // The job's final frame just went out; follow it with
                     // the freshest view of this worker's counters.
                     if let Some(shard) = metrics_shard {
@@ -160,165 +179,51 @@ fn push_snapshot(writer: &SharedWriter, shard: u64) {
     );
 }
 
-/// Runs one dispatched job on its own thread and reports the outcome on
-/// the job's channel. All sends are best-effort: if the dispatcher is
-/// gone, it will re-dispatch to a replacement worker anyway.
-fn run_job(
-    writer: &SharedWriter,
-    channel: u32,
-    job: u64,
-    spec_hash: [u8; 32],
-    spec_json: &str,
-    model_bytes: Option<Vec<u8>>,
-    cancel: CancelToken,
-) {
-    let send = |message: &Message| {
-        let _ = writer
-            .lock()
-            .expect("writer lock poisoned")
-            .send(channel, message);
-    };
-    let spec = match Json::parse(spec_json)
-        .map_err(|e| e.to_string())
-        .and_then(|json| JobSpec::from_json(&json).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(message) => {
-            // Can only happen on a dispatcher bug: specs were validated
-            // at submission and re-encoded faithfully.
-            send(&Message::Failed {
+/// A runner event as the frame that carries it: the inverse of the
+/// dispatcher's frame-to-event mapping.
+impl From<DispatchEvent> for Message {
+    fn from(event: DispatchEvent) -> Message {
+        match event {
+            DispatchEvent::Progress {
                 job,
-                message: format!("shard worker could not parse spec: {message}"),
-                cancelled: false,
-            });
-            return;
-        }
-    };
-    let reuse = match model_bytes {
-        Some(bytes) => match SavedModel::read_from(&bytes[..]) {
-            Ok(saved) => Some(saved),
-            Err(e) => {
-                send(&Message::Failed {
-                    job,
-                    message: format!("shard worker could not decode model: {e}"),
-                    cancelled: false,
-                });
-                return;
-            }
-        },
-        None => None,
-    };
-    let observer: Arc<dyn ProgressObserver> = Arc::new(ShardObserver {
-        writer: Arc::clone(writer),
-        channel,
-        job,
-        throttle_ms: spec.throttle_ms,
-        cancel: cancel.clone(),
-    });
-    match execute_job(spec, reuse, Arc::clone(&observer), cancel) {
-        Ok((result, trained)) => {
-            let model = trained.map(|saved| {
-                let mut bytes = Vec::new();
-                saved
-                    .write_to(&mut bytes)
-                    .expect("writing a model to a Vec cannot fail");
-                bytes
-            });
-            send(&Message::Result {
+                rounds,
+                committed,
+                reused,
+                rescored,
+                trained,
+                note,
+            } => Message::Progress {
+                job,
+                rounds,
+                committed,
+                reused,
+                rescored,
+                trained,
+                note,
+            },
+            DispatchEvent::Done {
                 job,
                 spec_hash,
-                payload: encode_result(&result),
+                payload,
                 model,
-            });
-        }
-        Err(e) => {
-            let cancelled = matches!(e, MariohError::Cancelled);
-            if !cancelled {
-                observer.on_error(&e.to_string());
-            }
-            send(&Message::Failed {
+            } => Message::Result {
                 job,
-                message: e.to_string(),
+                spec_hash,
+                payload,
+                model,
+            },
+            DispatchEvent::Failed {
+                job,
+                message,
                 cancelled,
-            });
+            } => Message::Failed {
+                job,
+                message,
+                cancelled,
+            },
+            DispatchEvent::ShardRespawned { shard, .. } => {
+                unreachable!("shard {shard} respawned: a dispatcher-side event, never a frame")
+            }
         }
-    }
-}
-
-/// Streams pipeline progress back to the dispatcher as `Progress`
-/// frames, and applies the job's `throttle_ms` pacing after each round —
-/// the wire twin of the server's in-process `JobObserver`.
-struct ShardObserver {
-    writer: SharedWriter,
-    channel: u32,
-    job: u64,
-    throttle_ms: u64,
-    cancel: CancelToken,
-}
-
-impl ShardObserver {
-    fn send(&self, message: Message) {
-        let _ = self
-            .writer
-            .lock()
-            .expect("writer lock poisoned")
-            .send(self.channel, &message);
-    }
-
-    fn progress(&self) -> Message {
-        Message::Progress {
-            job: self.job,
-            rounds: None,
-            committed: None,
-            reused: 0,
-            rescored: 0,
-            trained: false,
-            note: None,
-        }
-    }
-}
-
-impl ProgressObserver for ShardObserver {
-    fn on_round(&self, round: usize, _theta: f64, stats: &SearchStats) {
-        let mut message = self.progress();
-        if let Message::Progress {
-            rounds,
-            reused,
-            rescored,
-            ..
-        } = &mut message
-        {
-            *rounds = Some(round as u64);
-            *reused = stats.cliques_reused as u64;
-            *rescored = stats.cliques_rescored as u64;
-        }
-        self.send(message);
-        if self.throttle_ms > 0 {
-            cancellable_sleep(self.throttle_ms, &self.cancel);
-        }
-    }
-
-    fn on_commit(&self, _round: usize, _committed: usize, total_committed: usize) {
-        let mut message = self.progress();
-        if let Message::Progress { committed, .. } = &mut message {
-            *committed = Some(total_committed as u64);
-        }
-        self.send(message);
-    }
-
-    fn on_training_done(&self, _secs: f64) {
-        let mut message = self.progress();
-        if let Message::Progress { trained, .. } = &mut message {
-            *trained = true;
-        }
-        self.send(message);
-    }
-
-    fn on_error(&self, msg: &str) {
-        let mut message = self.progress();
-        if let Message::Progress { note, .. } = &mut message {
-            *note = Some(msg.to_owned());
-        }
-        self.send(message);
     }
 }

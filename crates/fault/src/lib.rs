@@ -2,11 +2,10 @@
 //!
 //! Each layer registers named *injection sites* — `store.fsync`,
 //! `store.artifact`, `store.compact`, `wire.frame`, `shard.spawn.K`,
-//! `shard.K` — by
-//! calling [`hit`] at the point where the operation would happen. A
-//! [`FaultPlan`], parsed from `marioh serve --faults` or the
-//! `MARIOH_FAULTS` environment variable, decides which hits turn into
-//! injected faults.
+//! `shard.K`, `job.run` — by calling [`hit`] at the point where the
+//! operation would happen. A [`FaultPlan`], parsed from `marioh serve
+//! --faults` or the `MARIOH_FAULTS` environment variable, decides which
+//! hits turn into injected faults.
 //!
 //! Two properties the chaos suite depends on:
 //!
@@ -36,7 +35,7 @@ use std::sync::RwLock;
 /// Version of the fault-spec grammar parsed by [`FaultPlan::parse`].
 /// Bumping it requires a `## fault-spec vN` migration note in
 /// `crates/fault/FORMATS.md` (CI and a unit test enforce this).
-pub const FAULT_SPEC_VERSION: u32 = 1;
+pub const FAULT_SPEC_VERSION: u32 = 2;
 
 /// Environment variable holding a fault plan; read by
 /// [`init_from_env`] in every `marioh` process (`serve` exports the
@@ -59,6 +58,9 @@ pub enum Action {
     /// crash loops). Only honoured at sites that opt in — a store
     /// fsync never exits the server.
     Exit,
+    /// Panic inside the operation (fault-spec v2). Only honoured at
+    /// `job.run`, where it exercises the job runner's panic boundary.
+    Panic,
 }
 
 /// Stall duration when the spec says `stall` without `=ms`.
@@ -163,6 +165,7 @@ fn parse_clause(clause: &str) -> Result<Entry, String> {
             "corrupt" => Action::Corrupt,
             "stall" => Action::Stall(DEFAULT_STALL_MS),
             "exit" => Action::Exit,
+            "panic" => Action::Panic,
             other => return Err(format!("unknown fault action {other:?}")),
         },
         Some(("stall", ms)) => Action::Stall(
@@ -336,6 +339,10 @@ mod tests {
         let plan = FaultPlan::parse("shard.spawn.1:err@upto:5; shard.2:exit@after:1").unwrap();
         assert_eq!(plan.entries[0].trigger, Trigger::Upto(5));
         assert_eq!(plan.entries[1].action, Action::Exit);
+        assert_eq!(
+            FaultPlan::parse("job.run:panic@nth:1").unwrap().entries[0].action,
+            Action::Panic
+        );
         assert_eq!(
             FaultPlan::parse("worker.exec:stall=250@nth:1")
                 .unwrap()

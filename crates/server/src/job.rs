@@ -500,6 +500,31 @@ impl JobManager {
         }
     }
 
+    /// Blocks for the next job to execute and the model it reuses:
+    /// [`JobManager::take_next`] plus the steps both serving modes take
+    /// before running a job. A job whose twin finished while it queued is
+    /// answered from the artifact cache; a job whose model reference no
+    /// longer resolves (against this process's stores — shard workers
+    /// are stateless, so the model travels with the job) fails. Every job
+    /// returned counts as one pipeline run. `None` at shutdown.
+    pub fn next_run(&self) -> Option<(DispatchedJob, Option<SavedModel>)> {
+        loop {
+            let job = self.take_next()?;
+            if let Some(cached) = self.cached_result(&job.spec_hash) {
+                self.finish_cached(job.id, cached);
+                continue;
+            }
+            let reuse = job.spec.model.as_ref().map(|m| self.resolve_model(m));
+            match reuse.transpose() {
+                Ok(reuse) => {
+                    self.shared.pipeline_runs.inc();
+                    return Some((job, reuse));
+                }
+                Err(msg) => self.finish(job.id, Err(MariohError::config(msg))),
+            }
+        }
+    }
+
     /// Arms the deadline for a job being dispatched: the spec's own
     /// `timeout_secs` when set, the server-wide default otherwise. Jobs
     /// with neither run unbounded. Spawns the watchdog thread on first
@@ -734,12 +759,6 @@ impl JobManager {
         let _ = self.shared.artifacts.put_model(hash, model);
     }
 
-    /// Counts one pipeline actually executed (called by workers, never
-    /// on cache hits).
-    pub fn note_pipeline_run(&self) {
-        self.shared.pipeline_runs.inc();
-    }
-
     /// Counts one classifier trained (driven by the observer's
     /// `on_training_done`, so model-reuse jobs — which skip training —
     /// never count).
@@ -851,34 +870,6 @@ impl JobManager {
     /// under the store lock.
     pub fn result(&self, id: u64) -> Option<(JobStatus, Option<Arc<JobResult>>)> {
         self.store().result(id)
-    }
-
-    /// Records a completed search round for `id`.
-    pub fn record_round(&self, id: u64, round: usize) {
-        self.store().transition(
-            id,
-            Transition::Progress {
-                rounds: Some(round),
-                committed: None,
-            },
-        );
-    }
-
-    /// Records the cumulative commit total for `id`.
-    pub fn record_commit(&self, id: u64, total_committed: usize) {
-        self.store().transition(
-            id,
-            Transition::Progress {
-                rounds: None,
-                committed: Some(total_committed),
-            },
-        );
-    }
-
-    /// Records a worker-side failure message for `id`.
-    pub fn record_error(&self, id: u64, msg: &str) {
-        self.store()
-            .transition(id, Transition::Note(msg.to_owned()));
     }
 
     /// Aggregate queue/worker/cache counters.
@@ -1018,8 +1009,13 @@ mod tests {
         assert_eq!(m.view(id).unwrap().status, JobStatus::Running);
         assert_eq!(m.stats().running, 1);
 
-        m.record_round(id, 3);
-        m.record_commit(id, 17);
+        m.record_progress_batch(vec![(
+            id,
+            Transition::Progress {
+                rounds: Some(3),
+                committed: Some(17),
+            },
+        )]);
         let mut h = marioh_hypergraph::Hypergraph::new(0);
         h.add_edge(edge(&[0, 1]));
         m.finish(

@@ -13,17 +13,21 @@
 //!
 //! ```text
 //!  client ──HTTP──▶ accept loop ──▶ router ──▶ JobManager (bounded FIFO + store)
-//!                                                 ▲   │ take_next()
-//!                                    progress via │   ▼
-//!                                    ProgressObserver  worker pool ──▶ Pipeline
-//!                                    + CancelToken     (split → train → reconstruct)
+//!                                                 ▲   │ next_run(): cache consult,
+//!                                   EventSink     │   ▼ model resolution
+//!                                   (progress,    worker pool ──▶ run_dispatched
+//!                                    outcomes)    (panics contained) ──▶ execute_job
+//!                                                 (split → train → reconstruct)
 //! ```
 //!
 //! With [`ServerConfig::shards`] > 0 the worker pool is replaced by a
 //! `marioh-dispatch` router: jobs are hash-partitioned across N
 //! `marioh shard-worker` child processes speaking the `marioh-wire`
-//! framed protocol, with results bit-identical to pooled mode and dead
-//! shards respawned transparently. See `README.md` ("Sharded serving").
+//! framed protocol, and dead shards are respawned transparently. Every
+//! mode — pool, shard worker, breaker reroute — runs a job through the
+//! one runner, [`marioh_dispatch::run_dispatched`], so results are
+//! bit-identical and progress streams the same way. See `README.md`
+//! ("Sharded serving").
 //!
 //! # Endpoints
 //!

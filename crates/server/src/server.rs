@@ -3,27 +3,29 @@
 //!
 //! One short-lived thread per connection (requests are small and answered
 //! from the in-memory store; the heavy lifting happens on the worker
-//! pool), a non-blocking accept loop so shutdown never hangs in
-//! `accept(2)`, and `Connection: close` semantics throughout.
+//! pool), an accept loop that blocks in `accept(2)` until a client or
+//! [`Server::shutdown`]'s wake-up connection arrives, and
+//! `Connection: close` semantics throughout.
 
 use crate::http::{error_body, read_request, write_response, write_text_response, Request};
 use crate::job::{BatchError, BatchSubmission, JobManager, JobSpec, JobStatus, SubmitError};
 use crate::json::Json;
-use crate::shards::{spawn_shard_router, ShardEventSink};
+use crate::shards::{spawn_shard_router, EventSink};
 use crate::worker::spawn_workers;
 use marioh_core::MariohError;
 use marioh_dispatch::{DispatchConfig, Dispatcher, WorkerCommand};
 use marioh_store::{ArtifactStore, DiskStore, JobStore, MemoryStore, DEFAULT_RETAINED_JOBS};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after a failed `accept` (e.g.
+/// `EMFILE`), so a persistent error cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// Per-connection socket read/write timeout.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -40,7 +42,8 @@ pub struct ServerConfig {
     /// default — keeps the in-process worker pool; a positive count
     /// replaces it with the [`marioh_dispatch::Dispatcher`] driving `N`
     /// child processes over the wire protocol. Results are bit-identical
-    /// either way (both modes run [`marioh_dispatch::execute_job`]).
+    /// either way: both modes run every job through
+    /// [`marioh_dispatch::run_dispatched`].
     pub shards: usize,
     /// Command line of the shard worker (the dispatcher appends
     /// `--connect ADDR --shard K`). Empty — the default — re-executes
@@ -160,7 +163,6 @@ impl Server {
             return Err(MariohError::config("shard timeout must be >= 1 second"));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let (job_store, artifact_store): (Arc<dyn JobStore>, Arc<dyn ArtifactStore>) =
@@ -193,7 +195,7 @@ impl Server {
             } else {
                 WorkerCommand::Process(config.shard_worker.clone())
             };
-            let sink = Arc::new(ShardEventSink {
+            let sink = Arc::new(EventSink {
                 manager: manager.clone(),
             });
             let mut dispatch_config = DispatchConfig::new(config.shards, worker);
@@ -248,8 +250,20 @@ impl Server {
     /// of each in-flight job.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Wake the accept loop out of its blocking accept; it sees `stop`
+        // and exits. Should the wake-up connection fail, the thread is
+        // left blocked rather than joined forever.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            if TcpStream::connect(wake).is_ok() {
+                let _ = t.join();
+            }
         }
         // Wakes the worker pool (or the shard router) out of take_next.
         self.manager.shutdown();
@@ -284,14 +298,14 @@ impl Drop for ConnectionSlot {
 fn accept_loop(listener: TcpListener, manager: JobManager, stop: Arc<AtomicBool>) {
     let live = Arc::new(AtomicUsize::new(0));
     loop {
+        let accepted = listener.accept();
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 if live.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
                     live.fetch_sub(1, Ordering::SeqCst);
-                    let _ = stream.set_nonblocking(false);
                     let _ = write_response(
                         &mut stream,
                         503,
@@ -312,8 +326,7 @@ fn accept_loop(listener: TcpListener, manager: JobManager, stop: Arc<AtomicBool>
                     });
                 drop(spawned); // on spawn failure the slot frees with the closure
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -321,7 +334,6 @@ fn accept_loop(listener: TcpListener, manager: JobManager, stop: Arc<AtomicBool>
 fn handle_connection(stream: TcpStream, manager: &JobManager) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_nonblocking(false);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,

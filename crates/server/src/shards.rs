@@ -1,19 +1,17 @@
-//! Sharded serving glue: the bridge between [`marioh_dispatch`] and the
-//! [`JobManager`].
+//! The bridge between [`marioh_dispatch`] and the [`JobManager`].
 //!
-//! Two pieces, mirroring the two directions of the wire:
-//!
-//! * [`spawn_shard_router`] replaces the in-process worker pool. A
-//!   single router thread drains the job queue, performs the same
-//!   pre-execution steps a worker would (cache consult, model-reuse
-//!   resolution), and hands the job to the [`Dispatcher`] — which
-//!   hash-partitions it onto a shard worker process.
-//! * [`ShardEventSink`] receives the dispatcher's merged event batches
-//!   and folds them back into the job/artifact stores: progress frames
-//!   become store transitions, `Result` payloads (the exact
-//!   artifact-store encoding) become finished jobs plus cached models,
-//!   failures map onto the same error/cancellation paths the in-process
-//!   pool uses. One `on_batch` call lands as one durable-store commit.
+//! * [`EventSink`] folds runner events into the job and artifact stores:
+//!   progress becomes store transitions, `Done` payloads (the exact
+//!   artifact-store encoding) become finished jobs plus stored models,
+//!   and failures map onto the error and cancellation paths. The
+//!   dispatcher hands it one merged sweep per `on_batch` call, which
+//!   lands as one durable-store commit; the in-process worker pool hands
+//!   it its progress events one at a time.
+//! * [`spawn_shard_router`] replaces the in-process worker pool in shard
+//!   mode. A single router thread takes jobs from
+//!   [`JobManager::next_run`] (the same cache consult and model
+//!   resolution a worker does) and hands them to the [`Dispatcher`],
+//!   which hash-partitions them onto shard worker processes.
 
 use crate::job::{DispatchedJob, JobManager, JobResult};
 use marioh_core::{MariohError, SavedModel};
@@ -22,13 +20,12 @@ use marioh_store::{decode_result, SpecHash, Transition};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Folds dispatcher event batches into the job and artifact stores.
-/// Called from the dispatcher's merger thread only.
-pub(crate) struct ShardEventSink {
+/// Folds runner events into the job and artifact stores.
+pub(crate) struct EventSink {
     pub(crate) manager: JobManager,
 }
 
-impl DispatchEvents for ShardEventSink {
+impl DispatchEvents for EventSink {
     fn on_batch(&self, events: Vec<DispatchEvent>) {
         let mut progress: Vec<(u64, Transition)> = Vec::new();
         let mut outcomes: Vec<(u64, Result<JobResult, MariohError>)> = Vec::new();
@@ -146,44 +143,21 @@ pub(crate) fn spawn_shard_router(
 }
 
 fn route_jobs(manager: JobManager, dispatcher: Arc<Dispatcher>) {
-    while let Some(DispatchedJob {
-        id,
-        spec,
-        spec_hash,
-        cancel,
-    }) = manager.take_next()
+    while let Some((
+        DispatchedJob {
+            id,
+            spec,
+            spec_hash,
+            cancel,
+        },
+        reuse,
+    )) = manager.next_run()
     {
-        // Same pre-dispatch shortcuts as the in-process pool: a twin may
-        // have finished while this job queued, and model references
-        // resolve against *this* process's artifact store (shard workers
-        // are stateless — the model travels in the dispatch frame).
-        if let Some(cached) = manager.cached_result(&spec_hash) {
-            manager.finish_cached(id, cached);
-            continue;
-        }
-        let model = match &spec.model {
-            Some(model_ref) => match manager.resolve_model(model_ref) {
-                Ok(saved) => {
-                    let mut bytes = Vec::new();
-                    saved
-                        .write_to(&mut bytes)
-                        .expect("writes into a Vec cannot fail");
-                    Some(bytes)
-                }
-                Err(msg) => {
-                    manager.record_error(id, &msg);
-                    manager.finish(id, Err(MariohError::config(msg)));
-                    continue;
-                }
-            },
-            None => None,
-        };
-        manager.note_pipeline_run();
         let job = DispatchJob {
             id,
             spec_hash: *spec_hash.as_bytes(),
             spec_json: spec.to_json().to_string(),
-            model,
+            model: reuse.as_ref().map(SavedModel::to_bytes),
             cancel,
         };
         if let Err(message) = dispatcher.dispatch(job) {

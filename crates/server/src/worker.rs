@@ -1,113 +1,50 @@
-//! The in-process worker pool: each worker blocks on the job queue,
-//! consults the artifact cache, runs the job through the shared
-//! [`marioh_dispatch::execute_job`] executor, and reports progress back
-//! into the job store through a [`ProgressObserver`] adapter.
+//! The in-process worker pool: each worker takes the next job from
+//! [`JobManager::next_run`] and runs it through the job runner shared
+//! with the shard workers, [`marioh_dispatch::run_dispatched`].
 //!
-//! Execution itself lives in `marioh-dispatch` so that this pool and the
-//! sharded multi-process mode share one definition of "run a job" —
-//! which is what makes `--shards N` results bit-identical to
-//! `--workers N`. Two storage-layer shortcuts preserve that identity:
+//! Both serving modes share the steps around the run, which is what
+//! makes `--shards N` results bit-identical to `--workers N`:
 //!
-//! * **Cache consult.** Before building anything, the worker checks the
-//!   artifact cache under the job's spec hash (a twin job may have
-//!   finished while this one queued); a hit finishes the job instantly
-//!   with `cached: true` and no pipeline run.
-//! * **Model reuse.** A spec with `model: "job:<id>"` (or a saved model
-//!   name) skips training: the stored [`SavedModel`] carries the donor's
-//!   post-training RNG state, which the worker restores after the split
-//!   — so with the same input and seed the reconstruction is
-//!   bit-identical to the donor's, with zero training epochs.
+//! * **Before the run** ([`JobManager::next_run`]): a job whose twin
+//!   finished while it queued is answered from the artifact cache, and a
+//!   `model: "job:<id>"` (or saved-model) reference resolves to the
+//!   stored [`marioh_core::SavedModel`], whose post-training RNG state
+//!   makes the reconstruction bit-identical to the donor's with zero
+//!   training epochs.
+//! * **During the run**: progress events fold into the job store through
+//!   the same [`EventSink`] that folds shard progress frames.
+//! * **After the run**: a trained model is stored under the job's spec
+//!   hash, and the outcome finishes the job. A job that panicked fails
+//!   with an `internal error`, and the worker takes the next job.
 
 use crate::job::{DispatchedJob, JobManager};
-use marioh_core::search::SearchStats;
-use marioh_core::{CancelToken, MariohError, ProgressObserver};
-use marioh_dispatch::{cancellable_sleep, execute_job};
+use crate::shards::EventSink;
+use marioh_dispatch::{run_dispatched, DispatchEvents, Emit};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Streams pipeline progress into the job store, and applies the job's
-/// `throttle_ms` pacing after each round.
-struct JobObserver {
-    manager: JobManager,
-    id: u64,
-    throttle_ms: u64,
-    cancel: CancelToken,
-}
-
-impl ProgressObserver for JobObserver {
-    fn on_round(&self, round: usize, _theta: f64, _stats: &SearchStats) {
-        // Engine reuse counters land on the process-global metrics
-        // registry inside core's round loop — nothing to fold in here.
-        self.manager.record_round(self.id, round);
-        if self.throttle_ms > 0 {
-            cancellable_sleep(self.throttle_ms, &self.cancel);
-        }
-    }
-
-    fn on_commit(&self, _round: usize, _committed: usize, total_committed: usize) {
-        self.manager.record_commit(self.id, total_committed);
-    }
-
-    fn on_training_done(&self, _secs: f64) {
-        // Model-reuse jobs never train, so never reach here — the
-        // `/stats` models_trained counter is exactly the observer's
-        // event count.
-        self.manager.note_trained();
-    }
-
-    fn on_error(&self, msg: &str) {
-        self.manager.record_error(self.id, msg);
-    }
-}
-
 fn run_worker(manager: JobManager) {
-    while let Some(DispatchedJob {
-        id,
-        spec,
-        spec_hash,
-        cancel,
-    }) = manager.take_next()
-    {
-        // An identical job may have completed while this one queued; its
-        // artifact is this job's answer.
-        if let Some(cached) = manager.cached_result(&spec_hash) {
-            manager.finish_cached(id, cached);
-            continue;
-        }
-        // Resolve model reuse before spending anything on the pipeline.
-        let reuse = match &spec.model {
-            Some(model_ref) => match manager.resolve_model(model_ref) {
-                Ok(saved) => Some(saved),
-                Err(msg) => {
-                    manager.record_error(id, &msg);
-                    manager.finish(id, Err(MariohError::config(msg)));
-                    continue;
-                }
-            },
-            None => None,
-        };
-        let observer: Arc<dyn ProgressObserver> = Arc::new(JobObserver {
-            manager: manager.clone(),
+    let sink = EventSink {
+        manager: manager.clone(),
+    };
+    let emit: Emit = Arc::new(move |event| sink.on_batch(vec![event]));
+    while let Some((
+        DispatchedJob {
             id,
-            throttle_ms: spec.throttle_ms,
-            cancel: cancel.clone(),
-        });
-        manager.note_pipeline_run();
-        let outcome = execute_job(spec, reuse, Arc::clone(&observer), cancel);
-        let outcome = match outcome {
-            Ok((result, trained)) => {
+            spec,
+            spec_hash,
+            cancel,
+        },
+        reuse,
+    )) = manager.next_run()
+    {
+        let outcome =
+            run_dispatched(id, spec, reuse, cancel, Arc::clone(&emit)).map(|(result, trained)| {
                 if let Some(saved) = trained {
                     manager.store_model(&spec_hash, &saved);
                 }
-                Ok(result)
-            }
-            Err(e) => {
-                if !matches!(e, MariohError::Cancelled) {
-                    observer.on_error(&e.to_string());
-                }
-                Err(e)
-            }
-        };
+                result
+            });
         manager.finish(id, outcome);
     }
 }

@@ -175,7 +175,7 @@ impl<W: Write> FrameWriter<W> {
             }
             Some(marioh_fault::Action::Corrupt) => marioh_fault::corrupt_byte(&mut bytes),
             Some(marioh_fault::Action::Stall(ms)) => marioh_fault::stall(ms),
-            Some(marioh_fault::Action::Exit) | None => {}
+            Some(marioh_fault::Action::Exit | marioh_fault::Action::Panic) | None => {}
         }
         self.inner.write_all(&bytes)?;
         self.inner.flush()?;

@@ -7,11 +7,14 @@
 //!   in-process run, and `marioh_faults_injected_total` counts the
 //!   injections,
 //! * a scripted crash loop on one shard trips the circuit breaker
-//!   (visible in `/stats`), its jobs reroute to in-process execution,
-//!   the batch still completes, and after the cooldown the breaker
-//!   closes again,
+//!   (visible in `/stats`), its jobs reroute to in-process execution
+//!   and still stream progress, the batch completes, and after the
+//!   cooldown the breaker closes again,
 //! * per-job deadlines fire across the wire with a typed timeout
-//!   reason, never a hang.
+//!   reason, never a hang,
+//! * a job that panics (`job.run:panic`) fails with a typed internal
+//!   error in both serving modes, is counted once in `/metrics`, and
+//!   the next job on the same server completes.
 //!
 //! The test process itself never arms a fault plan — all injection is
 //! scripted into the serve child via `--faults`, so the rest of the
@@ -124,8 +127,40 @@ fn metric_total(addr: SocketAddr, prefix: &str) -> f64 {
         .sum()
 }
 
-/// A `marioh serve --shards` child process bound to an ephemeral port,
-/// with a scripted fault plan and fast breaker/backoff knobs.
+/// Submits one job and returns its id.
+fn submit(addr: SocketAddr, body: &str) -> u64 {
+    let response = client::post(addr, "/jobs", body).expect("submit");
+    assert_eq!(response.status, 201, "{}", response.body);
+    let json = response.json().expect("valid JSON");
+    json.get("id").and_then(Json::as_u64).expect("job id")
+}
+
+/// Polls a job until it reaches a terminal status; returns its view.
+fn wait_terminal(addr: SocketAddr, id: u64, timeout: Duration) -> Json {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let view = job_view(addr, id);
+        if matches!(
+            view.get("status").and_then(Json::as_str),
+            Some("done" | "failed" | "cancelled")
+        ) {
+            return view;
+        }
+        assert!(Instant::now() < deadline, "job {id} never finished: {view}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+fn job_view(addr: SocketAddr, id: u64) -> Json {
+    client::get(addr, &format!("/jobs/{id}"))
+        .expect("job view")
+        .json()
+        .expect("valid JSON")
+}
+
+/// A `marioh serve` child process (`--shards 0` keeps the worker pool)
+/// bound to an ephemeral port, with a scripted fault plan and fast
+/// breaker/backoff knobs.
 struct ServeProcess {
     child: Child,
     addr: SocketAddr,
@@ -310,6 +345,17 @@ fn scripted_crash_loop_trips_the_breaker_reroutes_and_recovers() {
         metric_total(addr, "marioh_dispatch_breaker_rerouted_total") >= 1.0,
         "reroutes were not counted"
     );
+    // Rerouted jobs run through the same job runner as shard workers, so
+    // they stream per-round progress too.
+    for id in &ids {
+        let view = job_view(addr, *id);
+        let rounds = view
+            .get("progress")
+            .and_then(|p| p.get("rounds"))
+            .and_then(Json::as_u64)
+            .expect("progress.rounds");
+        assert!(rounds >= 1, "job {id} reported no rounds: {view}");
+    }
 
     // With no jobs left to kill it, the post-cooldown half-open probe
     // respawns a healthy worker and the breaker closes.
@@ -372,4 +418,56 @@ fn job_deadline_fires_across_the_wire_with_a_typed_reason() {
             }
         }
     }
+}
+
+/// Scripts a panic into the first job that enters the job runner
+/// (`job.run:panic@nth:1`) and checks that the boundary contains it: the
+/// job fails with a typed internal error, the next job on the same
+/// server completes, and `/metrics` counts exactly one panic.
+fn assert_job_panic_is_contained(shards: usize, extra: &[&str]) {
+    let serve = spawn_chaos_serve(shards, Some("job.run:panic@nth:1"), extra);
+    let addr = serve.addr;
+
+    let first = submit(addr, r#"{"dataset": "Hosts", "seed": 1}"#);
+    let view = wait_terminal(addr, first, Duration::from_secs(120));
+    assert_eq!(
+        view.get("status").and_then(Json::as_str),
+        Some("failed"),
+        "{view}"
+    );
+    let error = view.get("error").and_then(Json::as_str).expect("error");
+    assert!(
+        error.starts_with("internal error: job panicked: "),
+        "untyped panic failure: {error:?}"
+    );
+
+    let second = submit(addr, r#"{"dataset": "Hosts", "seed": 2}"#);
+    let view = wait_terminal(addr, second, Duration::from_secs(120));
+    assert_eq!(
+        view.get("status").and_then(Json::as_str),
+        Some("done"),
+        "the worker did not survive the panic: {view}"
+    );
+
+    // A shard worker's counters reach /metrics in the snapshot it pushes
+    // after each job, so give that push a moment to land.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let panicked = loop {
+        let panicked = metric_total(addr, "marioh_jobs_panicked_total");
+        if panicked >= 1.0 || Instant::now() >= deadline {
+            break panicked;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(panicked, 1.0, "panics counted in /metrics");
+}
+
+#[test]
+fn a_panicking_job_is_contained_in_the_worker_pool() {
+    assert_job_panic_is_contained(0, &["--workers", "1"]);
+}
+
+#[test]
+fn a_panicking_job_is_contained_in_a_shard_worker() {
+    assert_job_panic_is_contained(1, &[]);
 }
