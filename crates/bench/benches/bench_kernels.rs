@@ -14,10 +14,15 @@
 //! * **feature_extract** — [`marioh_core::features::extract_into`] in
 //!   multiplicity mode over the dataset's maximal cliques, backed by
 //!   `find_positions` (and the MHH cache reads).
+//! * **mlp_fit** — [`marioh_ml::Mlp::train`] of a seeded `[64, 32]`
+//!   classifier on the dataset's scaled training set with the default
+//!   `TrainConfig`, backed by `dense_forward`, `dense_outer_accumulate`
+//!   and `dense_backward`.
 //!
 //! **Bit-identity is asserted before any number is reported**: the two
 //! runs of every kernel must produce byte-for-byte identical outputs
-//! (`u64` memo words, `f64` bits, feature rows), and the end-to-end
+//! (`u64` memo words, `f64` bits, feature rows, the trained model's
+//! `write_to` bytes), and the end-to-end
 //! scalar and dispatched reconstructions must be equal hypergraphs.
 //! Results land in `BENCH_kernels.json` at the workspace root;
 //! `MARIOH_BENCH_SMOKE=1` runs one tiny dataset once and writes to
@@ -27,13 +32,13 @@
 use marioh_core::features::{extract_into, FeatureMode, FeatureScratch};
 use marioh_core::mhh::MhhCache;
 use marioh_core::reconstruct::reconstruct_with_report;
-use marioh_core::training::train_classifier;
+use marioh_core::training::{build_training_set, train_classifier};
 use marioh_core::{MariohConfig, RoundContext, TrainingConfig};
 use marioh_datasets::registry::PaperDataset;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::GraphView;
 use marioh_kernels::{override_level, Level};
-use marioh_ml::{Mlp, MlpScratch, TrainConfig};
+use marioh_ml::{Mlp, MlpScratch, StandardScaler, TrainConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
@@ -155,6 +160,33 @@ fn bench_kernels(dataset: PaperDataset, reps: usize, detected: Level) -> (Vec<Ke
             .all(|(a, b)| a.to_bits() == b.to_bits()),
     };
 
+    // --- Classifier fit ----------------------------------------------
+    // The fit a served job runs when it trains its own classifier: the
+    // dataset's scaled clique training set through the same seeded
+    // `[64, 32]` MLP, backed by `dense_forward`,
+    // `dense_outer_accumulate` and `dense_backward`. Parity is the
+    // trained model's persisted bytes.
+    let train_cfg = TrainingConfig::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    let set = build_training_set(&generated.hypergraph, &train_cfg, &mut rng);
+    let scaled = StandardScaler::fit(&set.features).transform_batch(&set.features);
+    let mut fit = || {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut mlp = Mlp::new(train_cfg.feature_mode.dim(), &[64, 32], &mut rng);
+        mlp.train(&scaled, &set.labels, &train_cfg.optimizer, &mut rng);
+        let mut bytes = Vec::new();
+        mlp.write_to(&mut bytes).expect("write to a Vec");
+        bytes
+    };
+    let (scalar_secs, scalar_model) = timed(Level::Scalar, reps, &mut fit);
+    let (dispatched_secs, fast_model) = timed(detected, reps, &mut fit);
+    let mlp_fit = KernelResult {
+        name: "mlp_fit",
+        scalar_secs,
+        dispatched_secs,
+        bit_identical: scalar_model == fast_model,
+    };
+
     // --- End-to-end round loop --------------------------------------
     let training = TrainingConfig {
         optimizer: TrainConfig {
@@ -180,7 +212,7 @@ fn bench_kernels(dataset: PaperDataset, reps: usize, detected: Level) -> (Vec<Ke
     };
     let e2e_secs = dispatched_secs;
 
-    (vec![mhh, features, predict, round_loop], e2e_secs)
+    (vec![mhh, features, predict, mlp_fit, round_loop], e2e_secs)
 }
 
 fn write_json(

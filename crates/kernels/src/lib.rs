@@ -1,4 +1,5 @@
-//! Runtime-dispatched compute kernels for MARIOH's per-round hot paths.
+//! Runtime-dispatched compute kernels for MARIOH's per-round hot paths
+//! and the classifier fit.
 //!
 //! Every kernel here exists in (at least) two implementations:
 //!
@@ -28,15 +29,18 @@
 //!   [`intersect_into`], [`find_positions`]) accumulate in `u64`/`usize`
 //!   — addition is associative, so galloping, block-skipping and
 //!   vectorization are free to reorder the traversal.
-//! * **Float kernels** ([`dense_forward`]) must keep each output lane's
-//!   accumulation **strictly sequential in input order**: lane `o`
-//!   computes `(((0 + x₀·w₀ₒ) + x₁·w₁ₒ) + …) + bₒ`, exactly the scalar
-//!   fold. Vectorization is only allowed *across* independent output
-//!   lanes, never across the inputs of one lane, and fused
-//!   multiply-add is forbidden (FMA rounds once where `mul`+`add`
-//!   rounds twice, which would change the bits). Any new float kernel
-//!   added to this crate must obey the same sequential-accumulation
-//!   contract.
+//! * **Float kernels** ([`dense_forward`], [`dense_outer_accumulate`],
+//!   [`dense_backward`]) must keep each output lane's accumulation
+//!   **strictly sequential**: lane `o` of the forward pass computes
+//!   `(((0 + x₀·w₀ₒ) + x₁·w₁ₒ) + …) + bₒ`, exactly the scalar fold.
+//!   Vectorization is only allowed *across* independent output lanes,
+//!   never across the terms of one lane's sum, and fused multiply-add
+//!   is forbidden (FMA rounds once where `mul`+`add` rounds twice,
+//!   which would change the bits). Any new float kernel added to this
+//!   crate must obey the same sequential-accumulation contract. Where a
+//!   scalar reference skips a zero term with a branch, a vector path
+//!   may add a masked `+0.0` instead, as long as its accumulator can
+//!   never be `−0.0` (the one value `x + 0.0` changes).
 //!
 //! The crate also hosts the process's CPU-affinity primitive
 //! ([`pin_to_core`]): a raw `sched_setaffinity` syscall on
@@ -222,14 +226,14 @@ pub fn find_positions(needles: &[u32], haystack: &[u32], out: &mut Vec<u32>) {
 }
 
 // ---------------------------------------------------------------------
-// Dense-layer forward kernel.
+// Dense-layer kernels: the forward pass and the two backward steps.
 // ---------------------------------------------------------------------
 
 /// One dense-layer forward pass over **transposed** (column-major)
 /// weights: `out[o] = (Σ_k x[k]·wt[k·n_out + o]) + bias[o]`, with each
 /// lane's sum folded strictly in `k` order from `0.0` (the
 /// sequential-accumulation contract — see the crate docs). Vector
-/// levels run 4 (AVX2) or 2 (SSE4.2) output lanes at once with
+/// levels run 16 (AVX2) or 2 (SSE4.2) output lanes at once with
 /// separate `mul` and `add` (no FMA), so every lane's rounding matches
 /// the scalar fold bit for bit.
 ///
@@ -247,6 +251,71 @@ pub fn dense_forward(wt: &[f64], bias: &[f64], x: &[f64], n_out: usize, out: &mu
         Level::Avx2 => unsafe { x86::dense_forward_avx2(wt, bias, x, n_out, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Level::Sse42 | Level::Avx2 => scalar::dense_forward(wt, bias, x, n_out, out),
+    }
+}
+
+/// Batched weight-gradient accumulation for one dense layer: for rows
+/// `e = 0..m` in order, `g[o·n_in + k] += d[e·n_out + o]·a[e·n_in + k]`,
+/// where a row whose delta `d[e·n_out + o]` is zero (`== 0.0`, so also
+/// `−0.0`, but not NaN) adds nothing. `g` is the row-major `n_out × n_in`
+/// gradient, `d` the batch's `m × n_out` deltas and `a` its `m × n_in`
+/// layer inputs. Each gradient entry folds its rows strictly in order,
+/// so the result is bit-identical to accumulating example by example.
+/// The AVX2 path runs 16 `k` lanes with the row loop innermost; other
+/// levels run the scalar reference.
+///
+/// `g` must hold no `−0.0` (a zeroed gradient never does): the vector
+/// path adds a masked `+0.0` for a zero delta, which would turn `−0.0`
+/// into `+0.0`.
+///
+/// # Panics
+///
+/// Panics unless `g.len() == n_out·n_in`, `d.len() == m·n_out` and
+/// `a.len() == m·n_in`.
+pub fn dense_outer_accumulate(
+    g: &mut [f64],
+    d: &[f64],
+    a: &[f64],
+    m: usize,
+    n_in: usize,
+    n_out: usize,
+) {
+    assert!(
+        g.len() == n_out * n_in && d.len() == m * n_out && a.len() == m * n_in,
+        "dense_outer_accumulate: buffer lengths do not match the shape"
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns Avx2 after feature detection;
+        // the lengths are checked above.
+        Level::Avx2 => unsafe { x86::dense_outer_accumulate_avx2(g, d, a, m, n_in, n_out) },
+        _ => scalar::dense_outer_accumulate(g, d, a, m, n_in, n_out),
+    }
+}
+
+/// One example's backward step through a dense layer with **row-major**
+/// weights `w` (`n_out × n_in`): `prev[k] = Σ_o d[o]·w[o·n_in + k]`,
+/// folded in `o` order from `0.0` and skipping `d[o] == 0.0`, then
+/// `prev[k] = 0.0` wherever `act[k] <= 0.0` (the ReLU derivative of the
+/// layer's input). `n_out = d.len()`, `n_in = prev.len()`. The AVX2
+/// path runs 16 `k` lanes with the `o` loop innermost and replaces both
+/// branches by masks; other levels run the scalar reference.
+///
+/// # Panics
+///
+/// Panics unless `w.len() == d.len()·prev.len()` and
+/// `act.len() == prev.len()`.
+pub fn dense_backward(w: &[f64], d: &[f64], act: &[f64], prev: &mut [f64]) {
+    assert!(
+        w.len() == d.len() * prev.len() && act.len() == prev.len(),
+        "dense_backward: buffer lengths do not match the shape"
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns Avx2 after feature detection;
+        // the lengths are checked above.
+        Level::Avx2 => unsafe { x86::dense_backward_avx2(w, d, act, prev) },
+        _ => scalar::dense_backward(w, d, act, prev),
     }
 }
 

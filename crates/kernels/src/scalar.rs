@@ -87,3 +87,54 @@ pub fn dense_forward(wt: &[f64], bias: &[f64], x: &[f64], n_out: usize, out: &mu
         out.push(acc + b);
     }
 }
+
+/// Reference batched weight-gradient accumulation: for rows
+/// `e = 0..m` in order, `g[o·n_in + k] += d[e·n_out + o]·a[e·n_in + k]`,
+/// skipping a delta that is exactly zero — the per-example gradient
+/// loop of `Mlp::backprop`, verbatim and with its branch.
+pub fn dense_outer_accumulate(
+    g: &mut [f64],
+    d: &[f64],
+    a: &[f64],
+    m: usize,
+    n_in: usize,
+    n_out: usize,
+) {
+    for e in 0..m {
+        let delta = &d[e * n_out..(e + 1) * n_out];
+        let input = &a[e * n_in..(e + 1) * n_in];
+        for o in 0..n_out {
+            let d = delta[o];
+            if d != 0.0 {
+                let grow = &mut g[o * n_in..(o + 1) * n_in];
+                for (g, &inp) in grow.iter_mut().zip(input) {
+                    *g += d * inp;
+                }
+            }
+        }
+    }
+}
+
+/// Reference backward step through one dense layer with row-major
+/// weights: `prev[k] = Σ_o d[o]·w[o·n_in + k]` folded in `o` order from
+/// `0.0` (a zero delta skipped), then `prev[k] = 0` wherever
+/// `act[k] <= 0` (the ReLU derivative) — `Mlp::backprop`'s propagation
+/// loop, verbatim.
+pub fn dense_backward(w: &[f64], d: &[f64], act: &[f64], prev: &mut [f64]) {
+    let n_in = prev.len();
+    prev.fill(0.0);
+    for (o, &d) in d.iter().enumerate() {
+        if d == 0.0 {
+            continue;
+        }
+        let row = &w[o * n_in..(o + 1) * n_in];
+        for (p, &w) in prev.iter_mut().zip(row) {
+            *p += d * w;
+        }
+    }
+    for (p, &a) in prev.iter_mut().zip(act) {
+        if a <= 0.0 {
+            *p = 0.0;
+        }
+    }
+}

@@ -11,10 +11,13 @@
 //! branchless two-pointer, extreme skew its galloping search. Sums stay
 //! `u64`, so all of this reorders freely under bit-identity.
 //!
-//! [`dense_forward_avx2`] / [`dense_forward_sse42`] run 4 / 2 output
+//! [`dense_forward_avx2`] / [`dense_forward_sse42`] run 16 / 2 output
 //! lanes per iteration with separate `mul` and `add` — **never FMA** —
 //! keeping every lane's rounding identical to the scalar fold (the
-//! crate-level sequential-accumulation contract).
+//! crate-level sequential-accumulation contract). The two backward
+//! kernels vectorize across inputs `k` and replace the scalar loops'
+//! zero-delta branch with a mask on the product (see
+//! [`dense_outer_accumulate_avx2`] for why that keeps the bits).
 
 use crate::portable;
 use crate::GALLOP_RATIO;
@@ -233,6 +236,24 @@ pub unsafe fn dense_forward_avx2(
     out.clear();
     out.resize(n_out, 0.0);
     let mut o = 0usize;
+    // 16 lanes in flight: four independent accumulators hide the `add`
+    // latency that a single one serializes on. Each lane's fold is the
+    // same strictly-ordered sequence as in the 4-lane loop below.
+    while o + 16 <= n_out {
+        let mut acc = [_mm256_setzero_pd(); 4];
+        for (k, &xk) in x.iter().enumerate() {
+            let xv = _mm256_set1_pd(xk);
+            let w = wt.as_ptr().add(k * n_out + o);
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xv, _mm256_loadu_pd(w.add(4 * j))));
+            }
+        }
+        for (j, acc) in acc.iter().enumerate() {
+            let r = _mm256_add_pd(*acc, _mm256_loadu_pd(bias.as_ptr().add(o + 4 * j)));
+            _mm256_storeu_pd(out.as_mut_ptr().add(o + 4 * j), r);
+        }
+        o += 16;
+    }
     while o + 4 <= n_out {
         let mut acc = _mm256_setzero_pd();
         for (k, &xk) in x.iter().enumerate() {
@@ -285,5 +306,142 @@ pub unsafe fn dense_forward_sse42(
             acc += xk * wt[k * n_out + tail];
         }
         out[tail] = acc + bias[tail];
+    }
+}
+
+/// `and(d·a, d != 0)`: the product, or `+0.0` where the delta is zero.
+/// `NEQ_UQ` is true for NaN, matching Rust's `!=`, so a NaN delta still
+/// contributes; a masked lane is `+0.0` even when `a` is ±inf or NaN.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `a` must point to 4 readable `f64`s.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn masked_mul(dv: __m256d, keep: __m256d, a: *const f64) -> __m256d {
+    _mm256_and_pd(_mm256_mul_pd(dv, _mm256_loadu_pd(a)), keep)
+}
+
+/// Batched weight-gradient accumulation
+/// (`g[o·n_in+k] += d[e·n_out+o]·a[e·n_in+k]`, rows `e` in order), 16
+/// `k` lanes per block with the row loop innermost so the block's four
+/// accumulators stay in registers across the whole batch.
+///
+/// The scalar reference skips a zero delta with a branch, which
+/// mispredicts about half the time after ReLU. Here a zero delta adds a
+/// masked `+0.0` instead. That is the same value: a lane starts at the
+/// caller's `g`, which must hold no `−0.0`, and under round-to-nearest a
+/// sum is `−0.0` only when both operands are, so the lane never becomes
+/// `−0.0` and `x + 0.0 == x` for every value it takes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `g.len() == n_out·n_in`,
+/// `d.len() == m·n_out` and `a.len() == m·n_in`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dense_outer_accumulate_avx2(
+    g: &mut [f64],
+    d: &[f64],
+    a: &[f64],
+    m: usize,
+    n_in: usize,
+    n_out: usize,
+) {
+    let zero = _mm256_setzero_pd();
+    for o in 0..n_out {
+        let grow = g.as_mut_ptr().add(o * n_in);
+        let mut k = 0usize;
+        while k + 16 <= n_in {
+            let mut acc = [zero; 4];
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_pd(grow.add(k + 4 * j));
+            }
+            for e in 0..m {
+                let dv = _mm256_set1_pd(d[e * n_out + o]);
+                let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(dv, zero);
+                let row = a.as_ptr().add(e * n_in + k);
+                for (j, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_add_pd(*acc, masked_mul(dv, keep, row.add(4 * j)));
+                }
+            }
+            for (j, acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(grow.add(k + 4 * j), *acc);
+            }
+            k += 16;
+        }
+        while k + 4 <= n_in {
+            let mut acc = _mm256_loadu_pd(grow.add(k));
+            for e in 0..m {
+                let dv = _mm256_set1_pd(d[e * n_out + o]);
+                let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(dv, zero);
+                acc = _mm256_add_pd(acc, masked_mul(dv, keep, a.as_ptr().add(e * n_in + k)));
+            }
+            _mm256_storeu_pd(grow.add(k), acc);
+            k += 4;
+        }
+        for tail in k..n_in {
+            let mut acc = *grow.add(tail);
+            for e in 0..m {
+                let dv = d[e * n_out + o];
+                let p = dv * a[e * n_in + tail];
+                acc += if dv != 0.0 { p } else { 0.0 };
+            }
+            *grow.add(tail) = acc;
+        }
+    }
+}
+
+/// Backward step through one dense layer with row-major weights
+/// (`prev[k] = Σ_o d[o]·w[o·n_in+k]` in `o` order, then zeroed where
+/// `act[k] <= 0`), 16 `k` lanes per block with the `o` loop innermost.
+/// Zero deltas are masked as in [`dense_outer_accumulate_avx2`] (each
+/// lane starts at `+0.0`); the ReLU derivative is a select, and
+/// `LE_OQ` is false for a NaN activation, matching Rust's `<=`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `w.len() == d.len()·prev.len()` and
+/// `act.len() == prev.len()`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dense_backward_avx2(w: &[f64], d: &[f64], act: &[f64], prev: &mut [f64]) {
+    let n_in = prev.len();
+    let zero = _mm256_setzero_pd();
+    let out = prev.as_mut_ptr();
+    let mut k = 0usize;
+    while k + 16 <= n_in {
+        let mut acc = [zero; 4];
+        for (o, &dv) in d.iter().enumerate() {
+            let dv = _mm256_set1_pd(dv);
+            let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(dv, zero);
+            let row = w.as_ptr().add(o * n_in + k);
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_pd(*acc, masked_mul(dv, keep, row.add(4 * j)));
+            }
+        }
+        for (j, acc) in acc.iter().enumerate() {
+            let dead =
+                _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(act.as_ptr().add(k + 4 * j)), zero);
+            _mm256_storeu_pd(out.add(k + 4 * j), _mm256_andnot_pd(dead, *acc));
+        }
+        k += 16;
+    }
+    while k + 4 <= n_in {
+        let mut acc = zero;
+        for (o, &dv) in d.iter().enumerate() {
+            let dv = _mm256_set1_pd(dv);
+            let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(dv, zero);
+            acc = _mm256_add_pd(acc, masked_mul(dv, keep, w.as_ptr().add(o * n_in + k)));
+        }
+        let dead = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(act.as_ptr().add(k)), zero);
+        _mm256_storeu_pd(out.add(k), _mm256_andnot_pd(dead, acc));
+        k += 4;
+    }
+    for (tail, &a) in act.iter().enumerate().skip(k) {
+        let mut acc = 0.0f64;
+        for (o, &dv) in d.iter().enumerate() {
+            let p = dv * w[o * n_in + tail];
+            acc += if dv != 0.0 { p } else { 0.0 };
+        }
+        *out.add(tail) = if a <= 0.0 { 0.0 } else { acc };
     }
 }

@@ -2,7 +2,8 @@
 //! scalar reference — for random CSR-shaped rows, skewed lengths,
 //! hole-compacted (short, arbitrary-prefix) rows, values at the top of
 //! the u32 domain (the unsigned-compare bias trick), and MLP layer
-//! widths 1–64.
+//! widths 1–64 — forward, and both backward steps with the zero, −0.0,
+//! NaN and ±inf inputs that pin their zero-delta skip.
 //!
 //! Each case checks the ambient dispatch level (CI runs this suite
 //! twice: once with detection on, once under `MARIOH_NO_SIMD=1`) *and*
@@ -146,7 +147,7 @@ proptest! {
 
     #[test]
     fn dense_forward_matches_scalar_across_widths(
-        dims in (1usize..=64, 1usize..=64),
+        dims in (width(), output_width()),
         seed in 0u64..1_000_000,
     ) {
         // Sized buffers follow the widths, so fill them from a seeded
@@ -177,6 +178,141 @@ proptest! {
             );
         });
     }
+
+    #[test]
+    fn dense_outer_accumulate_matches_scalar(
+        dims in (width(), width(), 1usize..=64),
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (n_in, n_out, m) = dims;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = deltas(&mut rng, m, n_out);
+        // Activations: ordinary values, with ±inf/NaN planted in the
+        // rows whose deltas are all zero (±0.0) — they must add nothing
+        // — and, rarely, anywhere.
+        let mut a = Vec::with_capacity(m * n_in);
+        for e in 0..m {
+            let dead_row = d[e * n_out..(e + 1) * n_out].iter().all(|&v| v == 0.0);
+            for _ in 0..n_in {
+                let special = if dead_row { 0.3 } else { 0.01 };
+                a.push(if rng.gen_bool(special) {
+                    SPECIALS[rng.gen_range(0..SPECIALS.len())]
+                } else {
+                    rng.gen_range(-3.0..3.0)
+                });
+            }
+        }
+        // The gradient accumulates into what is already there; the
+        // kernel's contract excludes −0.0.
+        let g0: Vec<f64> = (0..n_in * n_out)
+            .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-3.0..3.0) })
+            .collect();
+        let mut want = g0.clone();
+        kernels::scalar::dense_outer_accumulate(&mut want, &d, &a, m, n_in, n_out);
+        at_every_level(|| {
+            let mut got = g0.clone();
+            kernels::dense_outer_accumulate(&mut got, &d, &a, m, n_in, n_out);
+            assert!(
+                same_bits(&got, &want),
+                "dense_outer_accumulate not bit-identical at level {} \
+                 (m {m}, n_in {n_in}, n_out {n_out})",
+                kernels::active()
+            );
+        });
+    }
+
+    #[test]
+    fn dense_backward_matches_scalar(
+        dims in (width(), width()),
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (n_in, n_out) = dims;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = deltas(&mut rng, 1, n_out);
+        // Weight rows under a zero delta carry ±inf/NaN: skipped, they
+        // must not reach `prev`.
+        let mut w = Vec::with_capacity(n_out * n_in);
+        for &dv in &d {
+            for _ in 0..n_in {
+                w.push(if dv == 0.0 && rng.gen_bool(0.3) {
+                    SPECIALS[rng.gen_range(0..SPECIALS.len())]
+                } else {
+                    rng.gen_range(-3.0..3.0)
+                });
+            }
+        }
+        // ReLU outputs are ≥ 0; the edge cases are exact (±)0 and NaN.
+        let act: Vec<f64> = (0..n_in)
+            .map(|_| match rng.gen_range(0u8..8) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => f64::NAN,
+                4 => -1.0,
+                _ => rng.gen_range(0.0..3.0),
+            })
+            .collect();
+        let mut want = vec![42.0; n_in];
+        kernels::scalar::dense_backward(&w, &d, &act, &mut want);
+        at_every_level(|| {
+            let mut got = vec![-7.0; n_in];
+            kernels::dense_backward(&w, &d, &act, &mut got);
+            assert!(
+                same_bits(&got, &want),
+                "dense_backward not bit-identical at level {} (n_in {n_in}, n_out {n_out})",
+                kernels::active()
+            );
+        });
+    }
+}
+
+/// A layer width in 1–64, biased toward the three feature dimensions
+/// (13, 18, 23) and the classifier's widest layer (64).
+fn width() -> BoxedStrategy<usize> {
+    prop_oneof![1usize..=64, (0usize..4).prop_map(|i| [13, 18, 23, 64][i])].boxed()
+}
+
+/// An output width up to 80, biased toward the AVX2 forward path's
+/// 16-lane block boundaries and the 4-lane and scalar tails behind them.
+fn output_width() -> BoxedStrategy<usize> {
+    const EDGES: [usize; 10] = [4, 15, 16, 17, 20, 31, 32, 35, 64, 67];
+    prop_oneof![1usize..=80, (0..EDGES.len()).prop_map(|i| EDGES[i])].boxed()
+}
+
+/// Values a zero delta must not let through: `0·x` is NaN for these.
+const SPECIALS: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// An `m × n_out` delta matrix: whole rows of ±0.0 (an example whose
+/// ReLU killed every unit), scattered +0.0 and −0.0 entries, the odd
+/// NaN (which must still propagate, as `NaN != 0.0`), and ordinary
+/// values.
+fn deltas(rng: &mut impl rand::Rng, m: usize, n_out: usize) -> Vec<f64> {
+    let mut d = Vec::with_capacity(m * n_out);
+    for _ in 0..m {
+        let zero_row = rng.gen_bool(0.2);
+        for _ in 0..n_out {
+            d.push(match rng.gen_range(0u8..10) {
+                _ if zero_row => [0.0, -0.0][rng.gen_range(0..2)],
+                0..=2 => 0.0,
+                3 => -0.0,
+                4 if rng.gen_bool(0.1) => f64::NAN,
+                _ => rng.gen_range(-3.0..3.0),
+            });
+        }
+    }
+    d
+}
+
+/// Bit-for-bit equality, except that any NaN matches any NaN: which
+/// operand's payload a NaN-producing `mul` keeps is the compiler's
+/// choice, not the kernel's.
+fn same_bits(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
 }
 
 #[test]
@@ -196,5 +332,11 @@ fn empty_and_degenerate_inputs() {
         let mut dense = vec![42.0];
         kernels::dense_forward(&[], &[], &[], 0, &mut dense);
         assert!(dense.is_empty(), "n_out = 0 clears the output");
+        let mut g = [1.5, 2.5];
+        kernels::dense_outer_accumulate(&mut g, &[], &[], 0, 2, 1);
+        assert_eq!(g, [1.5, 2.5], "an empty batch adds nothing");
+        let mut prev = [9.0; 3];
+        kernels::dense_backward(&[], &[], &[0.0, 1.0, f64::NAN], &mut prev);
+        assert_eq!(prev.map(f64::to_bits), [0.0f64; 3].map(f64::to_bits));
     });
 }

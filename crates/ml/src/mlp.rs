@@ -2,23 +2,30 @@
 //!
 //! Architecture: `input → [hidden, ReLU]* → 1 logit → sigmoid`.
 //! Optimiser: Adam with bias correction; loss: binary cross-entropy.
-//! Everything is `f64` and single-threaded — the feature vectors in this
-//! workspace are ~25-dimensional, so the classifier is never the
-//! bottleneck (the paper reports the same: training is a small slice of
-//! Fig. 6's runtime breakdown).
+//! Everything is `f64` and single-threaded.
+//!
+//! The fit is most of the work of a served job that trains its own
+//! classifier (servebench's `fresh` workload: ~420 rows × 60 epochs
+//! through `23 → 64 → 32 → 1`), so [`Mlp::train_with_stop`] runs each
+//! mini-batch through the
+//! `marioh-kernels` dense kernels, with a workspace allocated once per
+//! fit. Every weight's gradient still sums over the batch's examples in
+//! order, so the trained weights are bit-identical to the per-example
+//! trainer it replaced, which this module's tests keep as the oracle.
 
 use crate::optim::Adam;
 use rand::Rng;
 
-/// One dense layer (`out × in` weights, row-major, plus bias).
+/// One dense layer: `n_out × n_in` weights plus a bias.
+///
+/// The weights are stored once, **column-major**
+/// (`wt[k * n_out + o]` is the weight from input `k` to output `o`):
+/// the layout [`marioh_kernels::dense_forward`] vectorizes across
+/// output neurons. The trainer keeps its own row-major working copy
+/// for the backward pass and writes it back here after every step;
+/// persistence transposes to the row-major text format.
 #[derive(Debug, Clone)]
 struct Layer {
-    w: Vec<f64>,
-    /// Column-major mirror of `w` (`wt[k * n_out + o] == w[o * n_in + k]`)
-    /// — the layout [`marioh_kernels::dense_forward`] vectorizes across
-    /// output neurons. `w` stays authoritative (backprop and persistence
-    /// read it); every mutation of `w` must be followed by
-    /// [`Layer::sync_wt`].
     wt: Vec<f64>,
     b: Vec<f64>,
     n_in: usize,
@@ -27,42 +34,53 @@ struct Layer {
 
 impl Layer {
     fn new<R: Rng + ?Sized>(n_in: usize, n_out: usize, rng: &mut R) -> Self {
-        // He initialisation (ReLU-friendly).
+        // He initialisation (ReLU-friendly), drawn in row-major order.
         let scale = (2.0 / n_in as f64).sqrt();
-        let w = (0..n_in * n_out)
+        let w: Vec<f64> = (0..n_in * n_out)
             .map(|_| rng.gen_range(-1.0..1.0) * scale)
             .collect();
-        Layer::from_parts(w, vec![0.0; n_out], n_in, n_out)
+        Layer::from_row_major(&w, vec![0.0; n_out], n_in, n_out)
     }
 
-    fn from_parts(w: Vec<f64>, b: Vec<f64>, n_in: usize, n_out: usize) -> Self {
+    /// A layer from row-major weights (`w[o * n_in + k]`).
+    fn from_row_major(w: &[f64], b: Vec<f64>, n_in: usize, n_out: usize) -> Self {
         let mut layer = Layer {
-            w,
-            wt: Vec::new(),
+            wt: vec![0.0; w.len()],
             b,
             n_in,
             n_out,
         };
-        layer.sync_wt();
+        layer.set_row_major(w);
         layer
     }
 
-    /// Rebuilds the transposed mirror from `w`. O(in × out) — the same
-    /// order as the optimiser step that makes it necessary.
-    fn sync_wt(&mut self) {
-        self.wt.resize(self.w.len(), 0.0);
-        for o in 0..self.n_out {
-            for k in 0..self.n_in {
-                self.wt[k * self.n_out + o] = self.w[o * self.n_in + k];
-            }
-        }
+    /// Overwrites the weights from a row-major matrix. O(in × out), the
+    /// same order as the optimiser step that produces it.
+    fn set_row_major(&mut self, w: &[f64]) {
+        transpose(w, self.n_out, self.n_in, &mut self.wt);
+    }
+
+    /// The weights in row-major order (`w[o * n_in + k]`).
+    fn row_major(&self) -> Vec<f64> {
+        let mut w = vec![0.0; self.wt.len()];
+        transpose(&self.wt, self.n_in, self.n_out, &mut w);
+        w
     }
 
     /// `out = W x + b`, through the dispatched kernel. Each output's sum
     /// folds strictly in input order with the bias added last — exactly
-    /// the scalar `Σ w·x + b` this replaced, bit for bit.
+    /// the scalar `Σ w·x + b`, bit for bit.
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         marioh_kernels::dense_forward(&self.wt, &self.b, x, self.n_out, out);
+    }
+}
+
+/// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`.
+fn transpose(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
     }
 }
 
@@ -239,7 +257,205 @@ impl Mlp {
         assert_eq!(xs[0].len(), self.input_dim(), "feature dimension mismatch");
 
         let n = xs.len();
-        let mut adam_w: Vec<Adam> = self.layers.iter().map(|l| Adam::new(l.w.len())).collect();
+        let mut trainer = Trainer::new(&self.layers, cfg.batch_size.min(n));
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut final_loss = 0.0;
+
+        for _epoch in 0..cfg.epochs {
+            if stop() {
+                break;
+            }
+            // Fisher–Yates shuffle.
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                order.swap(i, j);
+            }
+            let mut epoch_loss = 0.0;
+            for batch in order.chunks(cfg.batch_size) {
+                trainer.step(&mut self.layers, xs, ys, batch, cfg, &mut epoch_loss);
+            }
+            final_loss = epoch_loss / n as f64;
+        }
+
+        let scratch = &mut trainer.scratch;
+        let correct = xs
+            .iter()
+            .zip(ys)
+            .filter(|(x, &y)| (self.predict_with(x, scratch) >= 0.5) == (y >= 0.5))
+            .count();
+        TrainStats {
+            final_loss,
+            train_accuracy: correct as f64 / n as f64,
+        }
+    }
+}
+
+/// The mini-batch trainer's workspace, allocated once per fit. Matrices
+/// hold one row per batch example, `rows × width`.
+struct Trainer {
+    /// Row-major working weights per layer (`w[o * n_in + k]`), the
+    /// layout the backward kernels read. Authoritative during the fit;
+    /// each Adam step writes them into the layer's `wt`.
+    w: Vec<Vec<f64>>,
+    adam_w: Vec<Adam>,
+    adam_b: Vec<Adam>,
+    /// Adam steps taken (1-based once the first batch runs).
+    t: usize,
+    grad_w: Vec<Vec<f64>>,
+    grad_b: Vec<Vec<f64>>,
+    /// `acts[0]` holds the batch's input rows and `acts[l + 1]` layer
+    /// `l`'s outputs (after ReLU, except at the top).
+    acts: Vec<Vec<f64>>,
+    /// `deltas[l]`: the loss gradient at layer `l`'s pre-activation.
+    deltas: Vec<Vec<f64>>,
+    scratch: MlpScratch,
+}
+
+impl Trainer {
+    fn new(layers: &[Layer], rows: usize) -> Self {
+        let mut acts = vec![vec![0.0; rows * layers[0].n_in]];
+        acts.extend(layers.iter().map(|l| vec![0.0; rows * l.n_out]));
+        Trainer {
+            w: layers.iter().map(Layer::row_major).collect(),
+            adam_w: layers.iter().map(|l| Adam::new(l.wt.len())).collect(),
+            adam_b: layers.iter().map(|l| Adam::new(l.b.len())).collect(),
+            t: 0,
+            grad_w: layers.iter().map(|l| vec![0.0; l.wt.len()]).collect(),
+            grad_b: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
+            acts,
+            deltas: layers.iter().map(|l| vec![0.0; rows * l.n_out]).collect(),
+            scratch: MlpScratch::default(),
+        }
+    }
+
+    /// One Adam step on the examples `batch`, adding each example's loss
+    /// to `epoch_loss` in batch order.
+    ///
+    /// Bit-identical to backpropagating the examples one at a time:
+    /// every gradient entry sums the batch's rows in order (the kernels
+    /// fold row by row, and a zero delta still adds nothing), and the
+    /// per-example forward and backward arithmetic is unchanged.
+    fn step(
+        &mut self,
+        layers: &mut [Layer],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        batch: &[usize],
+        cfg: &TrainConfig,
+        epoch_loss: &mut f64,
+    ) {
+        self.t += 1;
+        let m = batch.len();
+        let depth = layers.len();
+
+        // Gather the batch's rows and forward them layer by layer.
+        let dim = layers[0].n_in;
+        for (row, &idx) in self.acts[0].chunks_exact_mut(dim).zip(batch) {
+            row.copy_from_slice(&xs[idx]);
+        }
+        for (l, layer) in layers.iter().enumerate() {
+            let (below, above) = self.acts.split_at_mut(l + 1);
+            let inputs = below[l].chunks_exact(layer.n_in);
+            let outputs = above[0].chunks_exact_mut(layer.n_out);
+            let relu = l + 1 < depth;
+            for (x, out) in inputs.zip(outputs).take(m) {
+                layer.forward(x, &mut self.scratch.next);
+                for (o, &v) in out.iter_mut().zip(&self.scratch.next) {
+                    *o = if relu { v.max(0.0) } else { v };
+                }
+            }
+        }
+
+        // Loss and output delta dL/dlogit = p − y, in batch order.
+        let logits = &self.acts[depth];
+        for (e, &idx) in batch.iter().enumerate() {
+            let (p, y) = (sigmoid(logits[e]), ys[idx]);
+            let eps = 1e-12;
+            *epoch_loss += -(y * (p + eps).ln() + (1.0 - y) * (1.0 - p + eps).ln());
+            self.deltas[depth - 1][e] = p - y;
+        }
+
+        // Backward, top layer first: accumulate the weight and bias
+        // gradients, then propagate δ_prev = Wᵀ δ ⊙ ReLU'. acts[li] is
+        // the ReLU output of layer li-1, so its positive entries mark
+        // active units.
+        for li in (0..depth).rev() {
+            let (n_in, n_out) = (layers[li].n_in, layers[li].n_out);
+            let (lower, upper) = self.deltas.split_at_mut(li);
+            let delta = &upper[0][..m * n_out];
+            let input = &self.acts[li][..m * n_in];
+            marioh_kernels::dense_outer_accumulate(
+                &mut self.grad_w[li],
+                delta,
+                input,
+                m,
+                n_in,
+                n_out,
+            );
+            for row in delta.chunks_exact(n_out) {
+                for (g, &d) in self.grad_b[li].iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+            if li == 0 {
+                break;
+            }
+            let prevs = lower[li - 1].chunks_exact_mut(n_in);
+            for ((d, act), prev) in delta
+                .chunks_exact(n_out)
+                .zip(input.chunks_exact(n_in))
+                .zip(prevs)
+            {
+                marioh_kernels::dense_backward(&self.w[li], d, act, prev);
+            }
+        }
+
+        // Mean over the batch, weight decay, Adam; then publish the new
+        // weights to the model and clear the gradients for the next batch.
+        let scale = 1.0 / m as f64;
+        for (li, layer) in layers.iter_mut().enumerate() {
+            let (w, gw, gb) = (&mut self.w[li], &mut self.grad_w[li], &mut self.grad_b[li]);
+            for g in gw.iter_mut() {
+                *g *= scale;
+            }
+            for g in gb.iter_mut() {
+                *g *= scale;
+            }
+            if cfg.weight_decay > 0.0 {
+                for (g, &w) in gw.iter_mut().zip(w.iter()) {
+                    *g += cfg.weight_decay * w;
+                }
+            }
+            self.adam_w[li].step(w, gw, cfg.learning_rate, self.t);
+            self.adam_b[li].step(&mut layer.b, gb, cfg.learning_rate, self.t);
+            layer.set_row_major(w);
+            gw.fill(0.0);
+            gb.fill(0.0);
+        }
+    }
+}
+
+/// The per-example trainer: the one bit-identity oracle for the
+/// mini-batch [`Mlp::train_with_stop`] and for the analytic gradient.
+/// It runs the plain loops the dense kernels' scalar references copy,
+/// over a row-major working copy of the weights.
+#[cfg(test)]
+impl Mlp {
+    fn train_per_example<R: Rng + ?Sized>(
+        &mut self,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        cfg: &TrainConfig,
+        rng: &mut R,
+        stop: &mut dyn FnMut() -> bool,
+    ) -> TrainStats {
+        assert!(!xs.is_empty(), "empty training set");
+        assert_eq!(xs.len(), ys.len(), "features/labels length mismatch");
+        assert_eq!(xs[0].len(), self.input_dim(), "feature dimension mismatch");
+
+        let n = xs.len();
+        let mut ws: Vec<Vec<f64>> = self.layers.iter().map(Layer::row_major).collect();
+        let mut adam_w: Vec<Adam> = ws.iter().map(|w| Adam::new(w.len())).collect();
         let mut adam_b: Vec<Adam> = self.layers.iter().map(|l| Adam::new(l.b.len())).collect();
 
         let mut order: Vec<usize> = (0..n).collect();
@@ -259,12 +475,11 @@ impl Mlp {
             for batch in order.chunks(cfg.batch_size) {
                 t += 1;
                 // Accumulate gradients over the batch.
-                let mut grad_w: Vec<Vec<f64>> =
-                    self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
+                let mut grad_w: Vec<Vec<f64>> = ws.iter().map(|w| vec![0.0; w.len()]).collect();
                 let mut grad_b: Vec<Vec<f64>> =
                     self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
                 for &idx in batch {
-                    epoch_loss += self.backprop(&xs[idx], ys[idx], &mut grad_w, &mut grad_b);
+                    epoch_loss += self.backprop(&ws, &xs[idx], ys[idx], &mut grad_w, &mut grad_b);
                 }
                 let scale = 1.0 / batch.len() as f64;
                 for (li, layer) in self.layers.iter_mut().enumerate() {
@@ -275,13 +490,13 @@ impl Mlp {
                         *g *= scale;
                     }
                     if cfg.weight_decay > 0.0 {
-                        for (g, &w) in grad_w[li].iter_mut().zip(&layer.w) {
+                        for (g, &w) in grad_w[li].iter_mut().zip(&ws[li]) {
                             *g += cfg.weight_decay * w;
                         }
                     }
-                    adam_w[li].step(&mut layer.w, &grad_w[li], cfg.learning_rate, t);
+                    adam_w[li].step(&mut ws[li], &grad_w[li], cfg.learning_rate, t);
                     adam_b[li].step(&mut layer.b, &grad_b[li], cfg.learning_rate, t);
-                    layer.sync_wt();
+                    layer.set_row_major(&ws[li]);
                 }
             }
             final_loss = epoch_loss / n as f64;
@@ -298,9 +513,17 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates one example; returns its BCE loss and adds gradients
-    /// into the accumulators.
-    fn backprop(&self, x: &[f64], y: f64, grad_w: &mut [Vec<f64>], grad_b: &mut [Vec<f64>]) -> f64 {
+    /// Backpropagates one example through the row-major weights `ws`
+    /// (one per layer); returns its BCE loss and adds gradients into the
+    /// accumulators.
+    fn backprop(
+        &self,
+        ws: &[Vec<f64>],
+        x: &[f64],
+        y: f64,
+        grad_w: &mut [Vec<f64>],
+        grad_b: &mut [Vec<f64>],
+    ) -> f64 {
         let depth = self.layers.len();
         // Forward pass caching post-activation outputs (activations[0] = x).
         let mut activations: Vec<Vec<f64>> = Vec::with_capacity(depth + 1);
@@ -348,7 +571,7 @@ impl Mlp {
                 if d == 0.0 {
                     continue;
                 }
-                let row = &layer.w[o * layer.n_in..(o + 1) * layer.n_in];
+                let row = &ws[li][o * layer.n_in..(o + 1) * layer.n_in];
                 for (p, &w) in prev.iter_mut().zip(row) {
                     *p += d * w;
                 }
@@ -368,6 +591,111 @@ impl Mlp {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// `n` rows of `dim` features in [-2, 2) with a nonlinear label, so
+    /// both classes occur and the fit has something to learn.
+    fn dataset(seed: u64, n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect())
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| f64::from(x[0] + x[x.len() / 2] * x[x.len() - 1] > 0.25))
+            .collect();
+        (xs, ys)
+    }
+
+    fn model_bytes(mlp: &Mlp) -> Vec<u8> {
+        let mut buf = Vec::new();
+        mlp.write_to(&mut buf).expect("write to a Vec");
+        buf
+    }
+
+    /// Trains the same seeded model with the oracle and with
+    /// [`Mlp::train_with_stop`]; asserts identical model bytes and
+    /// identical loss and accuracy bits.
+    fn assert_trainers_agree(
+        seed: u64,
+        n: usize,
+        dim: usize,
+        hidden: &[usize],
+        cfg: &TrainConfig,
+        stop_after: Option<u32>,
+    ) {
+        let (xs, ys) = dataset(seed ^ 0x5eed, n, dim);
+        let run = |batched: bool| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mlp = Mlp::new(dim, hidden, &mut rng);
+            let mut polls = 0u32;
+            let mut stop = || {
+                polls += 1;
+                stop_after.is_some_and(|limit| polls > limit)
+            };
+            let stats = if batched {
+                mlp.train_with_stop(&xs, &ys, cfg, &mut rng, &mut stop)
+            } else {
+                mlp.train_per_example(&xs, &ys, cfg, &mut rng, &mut stop)
+            };
+            (model_bytes(&mlp), stats, polls)
+        };
+        let (want_bytes, want, want_polls) = run(false);
+        let (got_bytes, got, got_polls) = run(true);
+        let case = format!(
+            "seed {seed}, n {n}, dim {dim}, hidden {hidden:?}, level {}",
+            marioh_kernels::active()
+        );
+        assert!(got_bytes == want_bytes, "weights differ: {case}");
+        assert_eq!(
+            got.final_loss.to_bits(),
+            want.final_loss.to_bits(),
+            "loss differs: {case}"
+        );
+        assert_eq!(
+            got.train_accuracy.to_bits(),
+            want.train_accuracy.to_bits(),
+            "accuracy differs: {case}"
+        );
+        assert_eq!(got_polls, want_polls, "stop polled differently: {case}");
+    }
+
+    #[test]
+    fn batched_trainer_matches_the_per_example_oracle_bitwise() {
+        // Few epochs keep the 360-case grid quick in debug builds; the
+        // full-length runs are in the test below.
+        let cfg = TrainConfig {
+            epochs: 3,
+            ..TrainConfig::default()
+        };
+        for seed in 0..8u64 {
+            for dim in [23, 13, 18] {
+                for hidden in [&[64, 32][..], &[16, 8], &[]] {
+                    for n in [1, 63, 64, 65, 419] {
+                        assert_trainers_agree(seed, n, dim, hidden, &cfg, None);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_trainer_matches_the_oracle_over_a_full_default_fit() {
+        let cfg = TrainConfig::default();
+        for seed in [7, 11] {
+            assert_trainers_agree(seed, 419, 23, &[64, 32], &cfg, None);
+        }
+        assert_trainers_agree(3, 200, 13, &[], &cfg, None);
+        // Stopped after 3 epochs, mid-fit.
+        assert_trainers_agree(5, 419, 18, &[64, 32], &cfg, Some(3));
+        // An odd batch size leaves a ragged last batch.
+        let odd = TrainConfig {
+            batch_size: 17,
+            epochs: 10,
+            weight_decay: 0.0,
+            ..TrainConfig::default()
+        };
+        assert_trainers_agree(9, 100, 23, &[16, 8], &odd, None);
+    }
 
     #[test]
     fn train_with_stop_halts_at_an_epoch_boundary_and_never_fires_for_train() {
@@ -524,19 +852,19 @@ mod tests {
         let mlp = Mlp::new(3, &[], &mut rng);
         let x = vec![0.5, -0.3, 0.8];
         let y = 1.0;
-        let mut gw: Vec<Vec<f64>> = mlp.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
+        let ws: Vec<Vec<f64>> = mlp.layers.iter().map(Layer::row_major).collect();
+        let mut gw: Vec<Vec<f64>> = ws.iter().map(|w| vec![0.0; w.len()]).collect();
         let mut gb: Vec<Vec<f64>> = mlp.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        mlp.backprop(&x, y, &mut gw, &mut gb);
+        mlp.backprop(&ws, &x, y, &mut gw, &mut gb);
 
         let eps = 1e-6;
+        // One output, so the row- and column-major slots coincide.
         #[allow(clippy::needless_range_loop)] // index mirrors the weight slot being perturbed
         for wi in 0..3 {
             let mut plus = mlp.clone();
-            plus.layers[0].w[wi] += eps;
-            plus.layers[0].sync_wt();
+            plus.layers[0].wt[wi] += eps;
             let mut minus = mlp.clone();
-            minus.layers[0].w[wi] -= eps;
-            minus.layers[0].sync_wt();
+            minus.layers[0].wt[wi] -= eps;
             let loss = |m: &Mlp| {
                 let p = m.predict(&x);
                 -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
@@ -564,14 +892,15 @@ mod tests {
 impl Mlp {
     /// Writes the network weights as a plain-text stream:
     /// `mlp <n_layers>` then per layer a header `layer <in> <out>` and two
-    /// lines of space-separated weights and biases.
+    /// lines of space-separated weights (row-major, `w[o * in + k]`) and
+    /// biases.
     pub fn write_to<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
         let mut out = std::io::BufWriter::new(writer);
         use std::io::Write as _;
         writeln!(out, "mlp {}", self.layers.len())?;
         for layer in &self.layers {
             writeln!(out, "layer {} {}", layer.n_in, layer.n_out)?;
-            let ws: Vec<String> = layer.w.iter().map(|v| format!("{v:e}")).collect();
+            let ws: Vec<String> = layer.row_major().iter().map(|v| format!("{v:e}")).collect();
             writeln!(out, "{}", ws.join(" "))?;
             let bs: Vec<String> = layer.b.iter().map(|v| format!("{v:e}")).collect();
             writeln!(out, "{}", bs.join(" "))?;
@@ -636,7 +965,7 @@ impl Mlp {
             };
             let w = parse_row(next_line()?, n_in * n_out)?;
             let b = parse_row(next_line()?, n_out)?;
-            layers.push(Layer::from_parts(w, b, n_in, n_out));
+            layers.push(Layer::from_row_major(&w, b, n_in, n_out));
         }
         if layers.is_empty() {
             return Err(bad("mlp needs at least one layer"));
@@ -662,6 +991,20 @@ mod persistence_tests {
             let x: Vec<f64> = (0..4).map(|_| rng.gen_range(-3.0..3.0)).collect();
             assert_eq!(mlp.predict(&x), back.predict(&x));
         }
+    }
+
+    #[test]
+    fn text_format_is_row_major_and_round_trips_byte_for_byte() {
+        // Distinct weights in a 2 → 3 → 1 net: any transposition slip
+        // in read or write would reorder them.
+        let text = "mlp 2\nlayer 2 3\n1e0 2e0 3e0 4e0 5e0 6e0\n1e-1 2e-1 3e-1\n\
+                    layer 3 1\n-1.5e0 2.5e-3 7e2\n-5e-1\n";
+        let mlp = Mlp::read_from(text.as_bytes()).unwrap();
+        // Row-major: w[o * in + k]; output 2 reads inputs (5, 6).
+        assert_eq!(mlp.layers[0].wt, [1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
+        let mut buf = Vec::new();
+        mlp.write_to(&mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), text);
     }
 
     #[test]
