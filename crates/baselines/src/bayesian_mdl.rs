@@ -10,8 +10,8 @@
 //! (posterior → MDL objective) is recorded in DESIGN.md; both formalise
 //! "the fewest, largest cliques that explain the graph".
 
+use crate::enumerate_cliques;
 use crate::method::ReconstructionMethod;
-use marioh_hypergraph::clique::maximal_cliques;
 use marioh_hypergraph::fxhash::FxHashMap;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::Rng;
@@ -117,7 +117,7 @@ impl BayesianMdl {
             return h;
         }
         // Initial cover: all maximal cliques (always a valid cover).
-        let mut state = CoverState::new(maximal_cliques(g));
+        let mut state = CoverState::new(enumerate_cliques(g));
 
         // Pass 1: greedily drop redundant cliques, smallest first (they
         // are the likeliest to be fully covered by larger ones).

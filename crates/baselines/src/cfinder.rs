@@ -9,8 +9,8 @@
 //! hypergraph: every k in the quantile range is evaluated on the source
 //! projection and the best-scoring k is kept.
 
+use crate::enumerate_cliques;
 use crate::method::ReconstructionMethod;
-use marioh_hypergraph::clique::maximal_cliques;
 use marioh_hypergraph::metrics::jaccard;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
@@ -111,7 +111,7 @@ fn overlap_at_least(a: &[NodeId], b: &[NodeId], threshold: usize) -> bool {
 impl CFinder {
     /// The clique-percolation pass (inference body of the trait impl).
     fn run(&self, g: &ProjectedGraph) -> Hypergraph {
-        let cliques: Vec<Vec<NodeId>> = maximal_cliques(g)
+        let cliques: Vec<Vec<NodeId>> = enumerate_cliques(g)
             .into_iter()
             .filter(|c| c.len() >= self.k)
             .collect();

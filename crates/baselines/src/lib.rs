@@ -1,9 +1,9 @@
 //! Baseline hypergraph-reconstruction methods (Sect. IV-A of the MARIOH
 //! paper).
 //!
-//! Three families, all implementing the core
-//! [`Reconstructor`](marioh_core::Reconstructor) trait (re-exported here,
-//! also under its historical name [`ReconstructionMethod`]):
+//! Three families, all implementing the core [`Reconstructor`] trait
+//! (re-exported here, also under its historical name
+//! [`ReconstructionMethod`]):
 //!
 //! * overlapping community detection — [`demon`], [`cfinder`],
 //! * clique decomposition — [`max_clique`], [`clique_covering`],
@@ -31,3 +31,13 @@ pub use demon::Demon;
 pub use max_clique::MaxClique;
 pub use method::{ReconstructionMethod, Reconstructor};
 pub use shyre::{ShyreSupervised, ShyreUnsup};
+
+use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
+use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph};
+
+/// Every maximal clique of `g` (sorted), enumerated serially on one
+/// freeze of the graph.
+pub(crate) fn enumerate_cliques(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
+    let view = GraphView::freeze(g);
+    maximal_cliques(&view, &DegeneracyOrdering::of(&view), None)
+}

@@ -1,8 +1,8 @@
 //! MaxClique baseline: every maximal clique becomes a hyperedge
 //! (Bron & Kerbosch, Algorithm 457).
 
+use crate::enumerate_cliques;
 use crate::method::ReconstructionMethod;
-use marioh_hypergraph::clique::maximal_cliques;
 use marioh_hypergraph::{Hyperedge, Hypergraph, ProjectedGraph};
 use rand::RngCore;
 
@@ -26,7 +26,7 @@ impl ReconstructionMethod for MaxClique {
         _rng: &mut dyn RngCore,
     ) -> Result<Hypergraph, marioh_core::MariohError> {
         let mut h = Hypergraph::new(g.num_nodes());
-        for clique in maximal_cliques(g) {
+        for clique in enumerate_cliques(g) {
             let e = Hyperedge::new(clique).expect("maximal cliques have >= 2 nodes");
             if !h.contains(&e) {
                 h.add_edge(e);

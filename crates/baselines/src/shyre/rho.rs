@@ -6,7 +6,7 @@
 //! source hypergraph tells it how hyperedges distribute inside maximal
 //! cliques in this domain.
 
-use marioh_hypergraph::clique::maximal_cliques;
+use crate::enumerate_cliques;
 use marioh_hypergraph::fxhash::FxHashMap;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{Hypergraph, NodeId};
@@ -24,7 +24,7 @@ impl RhoStatistics {
     /// Estimates ρ from a source hypergraph.
     pub fn estimate(source: &Hypergraph) -> Self {
         let g = project(source);
-        let cliques = maximal_cliques(&g);
+        let cliques = enumerate_cliques(&g);
         // counts[n][k]: total hyperedges of size k found inside maximal
         // cliques of size n; cliques_of[n]: number of such cliques.
         let mut counts: FxHashMap<usize, FxHashMap<usize, usize>> = FxHashMap::default();

@@ -12,8 +12,10 @@ use crate::method::ReconstructionMethod;
 use crate::shyre::rho::RhoStatistics;
 use marioh_core::features::FeatureMode;
 use marioh_core::model::TrainedModel;
+use marioh_core::parallel::score_cliques;
 use marioh_core::training::{train_classifier, TrainingConfig};
-use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset};
+use marioh_core::RoundContext;
+use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset, DegeneracyOrdering};
 use marioh_hypergraph::fxhash::FxHashSet;
 use marioh_hypergraph::{Hyperedge, Hypergraph, ProjectedGraph};
 use rand::Rng;
@@ -90,7 +92,10 @@ impl ReconstructionMethod for ShyreSupervised {
     ) -> Result<Hypergraph, marioh_core::MariohError> {
         let mut h = Hypergraph::new(g.num_nodes());
         let mut seen: FxHashSet<Hyperedge> = FxHashSet::default();
-        for clique in maximal_cliques(g) {
+        // One freeze serves enumeration and every feature extraction.
+        let round = RoundContext::new(g);
+        let view = round.view();
+        for clique in maximal_cliques(view, &DegeneracyOrdering::of(view), None) {
             let n = clique.len();
             // The maximal clique itself is always a candidate.
             let mut candidates = vec![clique.clone()];
@@ -100,12 +105,12 @@ impl ReconstructionMethod for ShyreSupervised {
                     candidates.push(sample_k_subset(rng, &clique, k));
                 }
             }
-            for cand in candidates {
+            // Scores depend only on the frozen graph, so one batch per
+            // clique, walked in sampling order, keeps the same outcome.
+            let scores = score_cliques(&self.model, &round, &candidates, None);
+            for (cand, score) in candidates.iter().zip(scores) {
                 let e = Hyperedge::new(cand.iter().copied()).expect("candidate size >= 2");
-                if seen.contains(&e) {
-                    continue;
-                }
-                if self.model.score(g, &cand) > self.threshold {
+                if score > self.threshold && !seen.contains(&e) {
                     seen.insert(e.clone());
                     h.add_edge(e);
                 }
@@ -153,6 +158,67 @@ mod tests {
         assert_eq!(model.name(), "SHyRe-Motif");
         let rec = model.reconstruct(&project(&source), &mut rng).unwrap();
         assert!(rec.unique_edge_count() > 0);
+    }
+
+    /// The per-candidate inference loop the view path replaced, kept
+    /// as a test-local oracle: hash-map scoring of one candidate at a
+    /// time, skipping candidates already kept.
+    fn per_candidate_reconstruct(
+        model: &ShyreSupervised,
+        g: &ProjectedGraph,
+        rng: &mut dyn RngCore,
+    ) -> Hypergraph {
+        let mut h = Hypergraph::new(g.num_nodes());
+        let mut seen: FxHashSet<Hyperedge> = FxHashSet::default();
+        for clique in crate::enumerate_cliques(g) {
+            let n = clique.len();
+            let mut candidates = vec![clique.clone()];
+            for k in 2..n {
+                let count = sample_count(model.rho.expected_count(n, k), rng);
+                for _ in 0..count {
+                    candidates.push(sample_k_subset(rng, &clique, k));
+                }
+            }
+            for cand in candidates {
+                let e = Hyperedge::new(cand.iter().copied()).expect("candidate size >= 2");
+                if seen.contains(&e) {
+                    continue;
+                }
+                if marioh_core::reference::score(&model.model, g, &cand) > model.threshold {
+                    seen.insert(e.clone());
+                    h.add_edge(e);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn view_path_matches_per_candidate_reference() {
+        use marioh_datasets::registry::PaperDataset;
+        use marioh_datasets::split::split_source_target;
+        for (dataset, scale) in [(PaperDataset::Hosts, 1.0), (PaperDataset::Enron, 0.1)] {
+            let data = dataset.generate_scaled(scale);
+            for flavor in [ShyreFlavor::Count, ShyreFlavor::Motif] {
+                for seed in 0..3u64 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (source, target) = split_source_target(&data.hypergraph, &mut rng);
+                    let model = ShyreSupervised::train(flavor, &source, &mut rng);
+                    let g = project(&target);
+                    let (mut rng_view, mut rng_ref) = (rng.clone(), rng);
+                    let got = model.reconstruct(&g, &mut rng_view).unwrap();
+                    let want = per_candidate_reconstruct(&model, &g, &mut rng_ref);
+                    let case = format!("{} {flavor:?} seed {seed}", data.name);
+                    assert!(want.unique_edge_count() > 0, "{case}: empty reference");
+                    assert_eq!(got, want, "{case}: reconstructions differ");
+                    assert_eq!(
+                        format!("{rng_view:?}"),
+                        format!("{rng_ref:?}"),
+                        "{case}: RNG streams differ"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! actually removed (the clique set is provably unchanged otherwise),
 //! which preserves the output while keeping the harness usable.
 
+use crate::enumerate_cliques;
 use crate::method::ReconstructionMethod;
-use marioh_hypergraph::clique::maximal_cliques;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::RngCore;
 
@@ -48,7 +48,7 @@ impl ReconstructionMethod for ShyreUnsup {
     ) -> Result<Hypergraph, marioh_core::MariohError> {
         let mut h = Hypergraph::new(g.num_nodes());
         let mut work = g.clone();
-        let mut cliques = maximal_cliques(&work);
+        let mut cliques = enumerate_cliques(&work);
         while !work.is_edgeless() {
             // Rank: size desc, avg multiplicity asc, lexicographic.
             let best = cliques
@@ -67,7 +67,7 @@ impl ReconstructionMethod for ShyreUnsup {
                 .cloned();
             let Some(best) = best else {
                 // All cached cliques invalidated: re-enumerate.
-                cliques = maximal_cliques(&work);
+                cliques = enumerate_cliques(&work);
                 if cliques.is_empty() {
                     break;
                 }
@@ -86,7 +86,7 @@ impl ReconstructionMethod for ShyreUnsup {
             }
             if removed_edge {
                 // The maximal-clique structure may have changed.
-                cliques = maximal_cliques(&work);
+                cliques = enumerate_cliques(&work);
             }
         }
         Ok(h)

@@ -28,14 +28,13 @@
 //! untouched.
 
 use marioh_core::model::CliqueScorer;
-use marioh_core::parallel::score_cliques_pool;
+use marioh_core::parallel::score_cliques;
 use marioh_core::reconstruct::{reconstruct_with_report, ReconstructionReport};
 use marioh_core::search::SearchStats;
 use marioh_core::training::train_classifier;
 use marioh_core::{MariohConfig, RoundContext, TrainingConfig};
 use marioh_datasets::registry::PaperDataset;
-use marioh_hypergraph::clique::sample_k_subset;
-use marioh_hypergraph::parallel::maximal_cliques_pool;
+use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset, DegeneracyOrdering};
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph, WorkerPool};
 use marioh_ml::TrainConfig;
@@ -64,7 +63,7 @@ fn legacy_score(
         // fan-out (a WorkerPool constructed and dropped per stage has
         // the same spawn/join profile).
         let pool = WorkerPool::new(threads);
-        score_cliques_pool(scorer, round, cliques, &pool)
+        score_cliques(scorer, round, cliques, Some(&pool))
     } else {
         let mut out = vec![0.0; cliques.len()];
         if !cliques.is_empty() {
@@ -109,12 +108,13 @@ fn legacy_round(
     let (cliques, scores) = {
         // Freeze per round; fresh lazy MHH memo per pass.
         let round = RoundContext::with_threads(g, threads);
+        let ordering = DegeneracyOrdering::of(round.view());
         let cliques = if threads > 1 {
             // Old enumeration spawned unconditionally when threads > 1.
             let pool = WorkerPool::new(threads);
-            maximal_cliques_pool(round.view(), &pool)
+            maximal_cliques(round.view(), &ordering, Some(&pool))
         } else {
-            marioh_hypergraph::parallel::maximal_cliques_view(round.view(), 1)
+            maximal_cliques(round.view(), &ordering, None)
         };
         let scores = legacy_score(scorer, &round, &cliques, threads);
         (cliques, scores)
@@ -186,8 +186,7 @@ fn legacy_reconstruct(
     let mut reconstruction = Hypergraph::new(g.num_nodes());
     let mut work = if cfg.use_filtering {
         let t0 = Instant::now();
-        let (g2, stats) =
-            marioh_core::filtering::filtering_threaded(g, &mut reconstruction, cfg.threads);
+        let (g2, stats) = marioh_core::filtering::filtering(g, &mut reconstruction, cfg.threads);
         report.filtering_secs = t0.elapsed().as_secs_f64();
         report.filter_stats = Some(stats);
         g2

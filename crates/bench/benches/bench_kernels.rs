@@ -108,7 +108,8 @@ fn bench_kernels(dataset: PaperDataset, reps: usize, detected: Level) -> (Vec<Ke
     };
 
     // --- Feature extraction (multiplicity mode) ---------------------
-    let cliques = marioh_hypergraph::parallel::maximal_cliques_view(view, 1);
+    let ordering = marioh_hypergraph::clique::DegeneracyOrdering::of(view);
+    let cliques = marioh_hypergraph::clique::maximal_cliques(view, &ordering, None);
     let dim = FeatureMode::Multiplicity.dim();
     let mut extract_all = || {
         let mut scratch = FeatureScratch::default();

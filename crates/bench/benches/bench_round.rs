@@ -4,9 +4,9 @@
 //! with a genuinely trained classifier:
 //!
 //! * the scoring phase alone, twice — the pre-refactor per-clique path
-//!   (`TrainedModel::score` against the hash-map graph, exactly what the
-//!   search loop ran before the round-frozen view existed) and the
-//!   view/memo/batched path (`RoundContext` + `score_cliques_round`,
+//!   (`marioh_core::reference::score` against the hash-map graph, exactly
+//!   what the search loop ran before the round-frozen view existed) and
+//!   the view/memo/batched path (`RoundContext` + `score_cliques`,
 //!   freeze and MHH-cache cost included) — giving a like-for-like
 //!   scoring speedup;
 //! * one full search round (enumerate + score + commit) at 1/2/4
@@ -18,11 +18,11 @@
 //! writes to `target/BENCH_search.smoke.json` instead, leaving the
 //! committed baseline untouched.
 
-use marioh_core::parallel::score_cliques_round;
+use marioh_core::parallel::score_cliques;
 use marioh_core::training::train_classifier;
-use marioh_core::{filtering, CancelToken, RoundContext, SearchEngine, TrainingConfig};
+use marioh_core::{filtering, reference, CancelToken, RoundContext, SearchEngine, TrainingConfig};
 use marioh_datasets::registry::PaperDataset;
-use marioh_hypergraph::parallel::maximal_cliques_view;
+use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{GraphView, Hypergraph};
 use marioh_ml::TrainConfig;
@@ -70,23 +70,27 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
 
     // Rounds operate on the post-filtering intermediate graph.
     let mut sink = Hypergraph::new(g.num_nodes());
-    let (work, _) = filtering::filtering(&g, &mut sink);
+    let (work, _) = filtering::filtering(&g, &mut sink, 1);
 
     // --- Scoring phase: legacy per-clique vs round-frozen batched ---
-    let cliques = maximal_cliques_view(&GraphView::freeze(&work), 1);
+    let view = GraphView::freeze(&work);
+    let cliques = maximal_cliques(&view, &DegeneracyOrdering::of(&view), None);
     let mut legacy_samples = Vec::with_capacity(reps);
     let mut view_samples = Vec::with_capacity(reps);
     let mut checksum_legacy = 0.0f64;
     let mut checksum_view = 0.0f64;
     for _ in 0..reps {
         let t = Instant::now();
-        let scores: Vec<f64> = cliques.iter().map(|c| model.score(&work, c)).collect();
+        let scores: Vec<f64> = cliques
+            .iter()
+            .map(|c| reference::score(&model, &work, c))
+            .collect();
         legacy_samples.push(ms(t));
         checksum_legacy = scores.iter().sum();
 
         let t = Instant::now();
         let round = RoundContext::new(&work);
-        let scores = score_cliques_round(&model, &round, &cliques, 1);
+        let scores = score_cliques(&model, &round, &cliques, None);
         view_samples.push(ms(t));
         checksum_view = scores.iter().sum();
     }

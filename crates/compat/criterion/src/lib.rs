@@ -79,8 +79,8 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; this harness always uses
-    /// [`Criterion::measured_iters`] iterations.
+    /// Accepted for API compatibility; this harness always uses the
+    /// `Criterion`'s own fixed measured-iteration count.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }

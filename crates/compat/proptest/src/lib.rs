@@ -1,7 +1,7 @@
 //! Offline drop-in subset of the `proptest` API.
 //!
 //! The build environment has no network access, so this workspace vendors
-//! the slice of `proptest` its test suite uses: the [`Strategy`] trait
+//! the slice of `proptest` its test suite uses: the [`strategy::Strategy`] trait
 //! with `prop_map` / `prop_flat_map`, range and tuple strategies,
 //! [`collection::vec`], [`option::of`], [`arbitrary::any`], the
 //! [`prop_oneof!`] union macro, and the [`proptest!`] test-harness macro
@@ -219,7 +219,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

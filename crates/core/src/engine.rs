@@ -41,20 +41,32 @@
 use crate::error::MariohError;
 use crate::mhh::MhhCache;
 use crate::model::CliqueScorer;
-use crate::parallel::{score_cliques_pool, score_work, SCORE_PARALLEL_MIN_WORK};
+use crate::parallel::{score_cliques, score_work, SCORE_PARALLEL_MIN_WORK};
 use crate::progress::CancelToken;
 use crate::round::RoundContext;
 use crate::search::SearchStats;
-use marioh_hypergraph::clique::sample_k_subset;
-use marioh_hypergraph::parallel::{
-    enumeration_parallel_worthwhile, maximal_cliques_ranked, maximal_cliques_ranked_pool,
-    maximal_cliques_region_ranked, maximal_cliques_region_ranked_pool, ordering,
-    ENUM_PARALLEL_MIN_EDGES,
+use marioh_hypergraph::clique::{
+    maximal_cliques, maximal_cliques_region, sample_k_subset, DegeneracyOrdering,
 };
 use marioh_hypergraph::{GraphView, Hyperedge, Hypergraph, NodeId, ProjectedGraph, WorkerPool};
 use rand::Rng;
 use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Below this many edges, Bron–Kerbosch over the whole graph is cheaper
+/// than fanning root subproblems out over the pool, so enumeration stays
+/// serial (the measured 2/4-thread regressions on the small Table-1
+/// datasets).
+const ENUM_PARALLEL_MIN_EDGES: usize = 8192;
+
+/// Whether fanning full enumeration out is worth the dispatch cost.
+/// Edge count alone misjudges *dense* graphs — Bron–Kerbosch cost grows
+/// with density, not edge count, so a small-but-dense graph (average
+/// degree ≥ 32) still fans out even under the edge floor.
+fn enumeration_parallel_worthwhile(view: &GraphView) -> bool {
+    let e = view.num_edges();
+    e >= ENUM_PARALLEL_MIN_EDGES || e >= 16 * view.num_nodes() as usize
+}
 
 /// A vertex set with O(1) membership and O(|set|) clearing: a flag
 /// array plus the list of marked vertices.
@@ -115,12 +127,11 @@ pub struct SearchEngine {
     pool: OnceLock<WorkerPool>,
     /// The residual graph: frozen once, decremented by every commit.
     view: GraphView,
-    /// Cached degeneracy ordering and its inverse. Any permutation keeps
-    /// enumeration *correct* (emission roots at the min-rank member;
-    /// output is sorted); only its efficiency degrades as the graph
-    /// shrinks, so it is recomputed once a quarter of the edges are gone.
-    order: Vec<NodeId>,
-    rank: Vec<u32>,
+    /// Cached degeneracy ordering. Any permutation keeps enumeration
+    /// *correct* (emission roots at the min-rank member; output is
+    /// sorted); only its efficiency degrades as the graph shrinks, so it
+    /// is recomputed once a quarter of the edges are gone.
+    ordering: DegeneracyOrdering,
     edges_at_order: usize,
     /// MHH memo patched for changed-incident edges; `None` until a
     /// scorer first requests MHH (then kept for the rest of the run).
@@ -153,7 +164,7 @@ impl SearchEngine {
 
     fn with_mode(g: &ProjectedGraph, threads: usize, incremental: bool) -> SearchEngine {
         let view = GraphView::freeze(g);
-        let (order, rank) = ordering(&view);
+        let ordering = DegeneracyOrdering::of(&view);
         let n = g.num_nodes() as usize;
         SearchEngine {
             threads: threads.max(1),
@@ -162,8 +173,7 @@ impl SearchEngine {
             pool: OnceLock::new(),
             edges_at_order: view.num_edges(),
             view,
-            order,
-            rank,
+            ordering,
             mhh: None,
             prev_cliques: None,
             removed: FlagSet::new(n),
@@ -340,9 +350,7 @@ impl SearchEngine {
 
     /// Recomputes the degeneracy ordering of the residual.
     fn reorder(&mut self) {
-        let (order, rank) = ordering(&self.view);
-        self.order = order;
-        self.rank = rank;
+        self.ordering = DegeneracyOrdering::of(&self.view);
         self.edges_at_order = self.view.num_edges();
     }
 
@@ -350,11 +358,9 @@ impl SearchEngine {
     /// the pool when the graph is large enough to amortise it.
     fn enumerate_all(&self) -> Vec<Vec<NodeId>> {
         let _span = marioh_obs::Span::enter("enumeration");
-        if self.threads > 1 && enumeration_parallel_worthwhile(&self.view) {
-            maximal_cliques_ranked_pool(&self.view, &self.order, &self.rank, self.pool())
-        } else {
-            maximal_cliques_ranked(&self.view, &self.order, &self.rank)
-        }
+        let pool =
+            (self.threads > 1 && enumeration_parallel_worthwhile(&self.view)).then(|| self.pool());
+        maximal_cliques(&self.view, &self.ordering, pool)
     }
 
     /// Produces this round's maximal cliques (sorted, exactly the full
@@ -388,22 +394,9 @@ impl SearchEngine {
             // full enumeration's order exactly.
             let new_cliques = {
                 let _span = marioh_obs::Span::enter("enumeration");
-                if self.threads > 1 && removed_incident >= ENUM_PARALLEL_MIN_EDGES {
-                    maximal_cliques_region_ranked_pool(
-                        &self.view,
-                        &self.rank,
-                        &self.removed.list,
-                        &self.removed.flag,
-                        self.pool(),
-                    )
-                } else {
-                    maximal_cliques_region_ranked(
-                        &self.view,
-                        &self.rank,
-                        &self.removed.list,
-                        &self.removed.flag,
-                    )
-                }
+                let pool = (self.threads > 1 && removed_incident >= ENUM_PARALLEL_MIN_EDGES)
+                    .then(|| self.pool());
+                maximal_cliques_region(&self.view, &self.ordering, &self.removed.flag, pool)
             };
             let mut cliques = Vec::with_capacity(prev_cliques.len() + new_cliques.len());
             let mut new_iter = new_cliques.into_iter().peekable();
@@ -447,15 +440,8 @@ impl SearchEngine {
         if let Some(pool) = self.pool.get() {
             ctx = ctx.with_pool(pool);
         }
-        let scores = if parallel {
-            score_cliques_pool(scorer, &ctx, cliques, self.pool())
-        } else {
-            let mut out = vec![0.0; cliques.len()];
-            if !cliques.is_empty() {
-                scorer.score_batch(&ctx, cliques, &mut out);
-            }
-            out
-        };
+        let pool = if parallel { self.pool.get() } else { None };
+        let scores = score_cliques(scorer, &ctx, cliques, pool);
         if let Some(built) = ctx.take_mhh() {
             self.mhh = Some(built);
         }

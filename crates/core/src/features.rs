@@ -1,6 +1,7 @@
 //! Clique feature representations (Sect. III-D).
 //!
-//! Three feature modes share one extraction entry point:
+//! Three feature modes share one extraction entry point,
+//! [`extract_into`], which reads a round-frozen [`RoundContext`]:
 //!
 //! * [`FeatureMode::Multiplicity`] — MARIOH's multiplicity-aware features:
 //!   weighted node degrees; per-edge multiplicity, MHH and MHH/ω; clique
@@ -11,11 +12,13 @@
 //!   SHyRe-Count baseline.
 //! * [`FeatureMode::Motif`] — Count plus per-edge motif statistics
 //!   (triangle and square counts), for SHyRe-Motif.
+//!
+//! Its hash-map oracle, [`crate::reference::extract`], lives with the
+//! other test oracles.
 
-use marioh_hypergraph::clique::{is_maximal, is_maximal_view};
-use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph};
+use marioh_hypergraph::clique::is_maximal_view;
+use marioh_hypergraph::{GraphView, NodeId};
 
-use crate::mhh::mhh;
 use crate::round::RoundContext;
 
 /// Which clique feature representation to extract.
@@ -62,7 +65,7 @@ impl FeatureMode {
 
 /// Five aggregate statistics written into `out[0..5]`: sum, mean, min,
 /// max, population std.
-fn agg5_into(values: &[f64], out: &mut [f64]) {
+pub(crate) fn agg5_into(values: &[f64], out: &mut [f64]) {
     if values.is_empty() {
         out[..5].fill(0.0);
         return;
@@ -86,38 +89,11 @@ fn agg5_into(values: &[f64], out: &mut [f64]) {
     out[4] = (var / n).sqrt();
 }
 
-/// [`agg5_into`] appended to a growing vector.
-fn agg5(values: &[f64], out: &mut Vec<f64>) {
-    let start = out.len();
-    out.resize(start + 5, 0.0);
-    agg5_into(values, &mut out[start..]);
-}
-
-/// Extracts the feature vector of `clique` against graph `g`.
-///
-/// `clique` must be sorted, duplicate-free and form a clique in `g`
-/// (debug-asserted). The returned vector has length [`FeatureMode::dim`].
-pub fn extract(mode: FeatureMode, g: &ProjectedGraph, clique: &[NodeId]) -> Vec<f64> {
-    debug_assert!(clique.len() >= 2, "feature extraction needs |Q| >= 2");
-    debug_assert!(clique.windows(2).all(|w| w[0] < w[1]), "clique not sorted");
-    debug_assert!(g.is_clique(clique), "candidate is not a clique");
-    let mut out = Vec::with_capacity(mode.dim());
-    match mode {
-        FeatureMode::Multiplicity => extract_multiplicity(g, clique, &mut out),
-        FeatureMode::Count => extract_count(g, clique, &mut out),
-        FeatureMode::Motif => {
-            extract_count(g, clique, &mut out);
-            extract_motif(g, clique, &mut out);
-        }
-    }
-    debug_assert_eq!(out.len(), mode.dim());
-    out
-}
-
 /// Reusable buffers for [`extract_into`]: the per-clique node and edge
-/// value lists that [`extract`] allocates fresh every call. A batch
-/// scorer creates one scratch per `score_batch` call and reuses it for
-/// every clique in the batch, so extraction itself allocates nothing.
+/// value lists that [`crate::reference::extract`] allocates fresh every
+/// call. A batch scorer creates one scratch per `score_batch` call and
+/// reuses it for every clique in the batch, so extraction itself
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct FeatureScratch {
     node: Vec<f64>,
@@ -132,14 +108,16 @@ pub struct FeatureScratch {
     positions: Vec<u32>,
 }
 
-/// [`extract`] against a round-frozen [`RoundContext`], writing the
-/// feature vector into `out` (length must equal [`FeatureMode::dim`])
-/// without allocating: edge weights and MHH values come from the CSR
-/// view and the per-round memo, intermediate lists live in `scratch`.
+/// Extracts the feature vector of `clique` against a round-frozen
+/// [`RoundContext`], writing it into `out` (length must equal
+/// [`FeatureMode::dim`]) without allocating: edge weights and MHH values
+/// come from the CSR view and the per-round memo, intermediate lists
+/// live in `scratch`.
 ///
-/// Produces bit-identical values to [`extract`] on the graph the context
-/// was frozen from (property-tested): every input quantity is an exact
-/// integer on both paths, and the aggregation order is the same.
+/// `clique` must be sorted, duplicate-free and form a clique in the view
+/// (debug-asserted). Produces bit-identical values to the hash-map
+/// oracle [`crate::reference::extract`] on the graph the context was
+/// frozen from (property-tested).
 ///
 /// # Panics
 ///
@@ -286,101 +264,6 @@ fn extract_motif_view(
     agg5_into(&scratch.edge_b, &mut out[0..5]);
 }
 
-fn extract_multiplicity(g: &ProjectedGraph, clique: &[NodeId], out: &mut Vec<f64>) {
-    // Node-level: weighted degree.
-    let node_feats: Vec<f64> = clique
-        .iter()
-        .map(|&u| g.weighted_degree(u) as f64)
-        .collect();
-    agg5(&node_feats, out);
-
-    // Edge-level: ω, MHH, MHH/ω.
-    let mut weights = Vec::new();
-    let mut mhhs = Vec::new();
-    let mut portions = Vec::new();
-    let mut internal_weight = 0u64;
-    for (i, &u) in clique.iter().enumerate() {
-        for &v in &clique[i + 1..] {
-            let w = g.weight(u, v);
-            debug_assert!(w > 0);
-            let m = mhh(g, u, v) as f64;
-            weights.push(f64::from(w));
-            mhhs.push(m);
-            portions.push(m / f64::from(w));
-            internal_weight += u64::from(w);
-        }
-    }
-    agg5(&weights, out);
-    agg5(&mhhs, out);
-    agg5(&portions, out);
-
-    // Clique-level: size, cut ratio, maximality.
-    out.push(clique.len() as f64);
-    let incident: u64 = clique.iter().map(|&u| g.weighted_degree(u)).sum();
-    let cut_ratio = if incident == 0 {
-        0.0
-    } else {
-        // Internal weight counted from both endpoints' perspectives.
-        (2 * internal_weight) as f64 / incident as f64
-    };
-    out.push(cut_ratio);
-    out.push(f64::from(is_maximal(g, clique)));
-}
-
-fn extract_count(g: &ProjectedGraph, clique: &[NodeId], out: &mut Vec<f64>) {
-    // Node-level: unweighted degree.
-    let node_feats: Vec<f64> = clique.iter().map(|&u| g.degree(u) as f64).collect();
-    agg5(&node_feats, out);
-
-    // Edge-level: embeddedness (common-neighbour count; probe-counted,
-    // no allocation or sort).
-    let mut embed = Vec::new();
-    for (i, &u) in clique.iter().enumerate() {
-        for &v in &clique[i + 1..] {
-            embed.push(g.common_neighbor_count(u, v) as f64);
-        }
-    }
-    agg5(&embed, out);
-
-    // Clique-level: size, unweighted cut ratio, maximality.
-    out.push(clique.len() as f64);
-    let internal = clique.len() * (clique.len() - 1) / 2;
-    let incident: usize = clique.iter().map(|&u| g.degree(u)).sum();
-    out.push(if incident == 0 {
-        0.0
-    } else {
-        (2 * internal) as f64 / incident as f64
-    });
-    out.push(f64::from(is_maximal(g, clique)));
-}
-
-/// Square-motif counts per clique edge: paths `u–a–b–v` with
-/// `a, b ∉ {u, v}` and `{a,b}` an edge — the number of 4-cycles through
-/// the pair.
-fn extract_motif(g: &ProjectedGraph, clique: &[NodeId], out: &mut Vec<f64>) {
-    let mut squares = Vec::new();
-    for (i, &u) in clique.iter().enumerate() {
-        for &v in &clique[i + 1..] {
-            let mut count = 0usize;
-            for (a, _) in g.neighbors(u) {
-                if a == v {
-                    continue;
-                }
-                for (b, _) in g.neighbors(a) {
-                    if b == u || b == v {
-                        continue;
-                    }
-                    if g.has_edge(b, v) {
-                        count += 1;
-                    }
-                }
-            }
-            squares.push(count as f64);
-        }
-    }
-    agg5(&squares, out);
-}
-
 /// Human-readable names for each dimension of a feature mode, used by the
 /// feature-importance experiment (online-appendix reproduction).
 pub fn feature_names(mode: FeatureMode) -> Vec<String> {
@@ -419,10 +302,24 @@ pub fn feature_names(mode: FeatureMode) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph};
+    use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph, ProjectedGraph};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// The production extraction against a fresh freeze of `g`.
+    fn extract(mode: FeatureMode, g: &ProjectedGraph, clique: &[NodeId]) -> Vec<f64> {
+        let round = RoundContext::new(g);
+        let mut out = vec![0.0; mode.dim()];
+        extract_into(
+            mode,
+            &round,
+            clique,
+            &mut FeatureScratch::default(),
+            &mut out,
+        );
+        out
     }
 
     fn sample_graph() -> ProjectedGraph {
@@ -451,17 +348,17 @@ mod tests {
 
     #[test]
     fn agg5_statistics() {
-        let mut out = Vec::new();
-        agg5(&[1.0, 2.0, 3.0], &mut out);
+        let mut out = [0.0; 5];
+        agg5_into(&[1.0, 2.0, 3.0], &mut out);
         assert_eq!(out[0], 6.0); // sum
         assert_eq!(out[1], 2.0); // mean
         assert_eq!(out[2], 1.0); // min
         assert_eq!(out[3], 3.0); // max
         assert!((out[4] - (2.0f64 / 3.0).sqrt()).abs() < 1e-12); // std
 
-        let mut empty = Vec::new();
-        agg5(&[], &mut empty);
-        assert_eq!(empty, vec![0.0; 5]);
+        let mut empty = [1.0; 5];
+        agg5_into(&[], &mut empty);
+        assert_eq!(empty, [0.0; 5]);
     }
 
     #[test]
@@ -512,15 +409,15 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             g.add_edge_weight(n(u), n(v), 1);
         }
-        let mut out = Vec::new();
-        extract_motif(&g, &[n(0), n(1)], &mut out);
-        // Exactly one square through edge (0,1): path 0-3-2-1.
-        assert_eq!(out[0], 1.0); // sum over the single edge
+        let f = extract(FeatureMode::Motif, &g, &[n(0), n(1)]);
+        // Exactly one square through edge (0,1): path 0-3-2-1 (the motif
+        // block follows the 13 count features).
+        assert_eq!(f[13], 1.0); // sum over the single edge
     }
 
     #[test]
     fn extract_into_is_bit_identical_to_extract() {
-        use crate::round::RoundContext;
+        use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..15 {
@@ -537,14 +434,16 @@ mod tests {
             }
             let g = project(&h);
             let round = RoundContext::new(&g);
+            let view = round.view();
+            let ordering = DegeneracyOrdering::of(view);
             let mut scratch = FeatureScratch::default();
-            for clique in marioh_hypergraph::clique::maximal_cliques(&g) {
+            for clique in maximal_cliques(view, &ordering, None) {
                 for mode in [
                     FeatureMode::Multiplicity,
                     FeatureMode::Count,
                     FeatureMode::Motif,
                 ] {
-                    let reference = extract(mode, &g, &clique);
+                    let reference = crate::reference::extract(mode, &g, &clique);
                     let mut out = vec![0.0; mode.dim()];
                     extract_into(mode, &round, &clique, &mut scratch, &mut out);
                     assert_eq!(out, reference, "mode {mode:?} clique {clique:?}");

@@ -25,21 +25,12 @@ pub struct FilterStats {
 ///
 /// As in the paper, every `MHH` value is computed against the *input*
 /// weights `ω`; only the certified pair's own weight is then reduced, so
-/// the result does not depend on edge iteration order.
+/// the result does not depend on edge iteration order. The bounds come
+/// from a round-frozen view and its [`crate::mhh::MhhCache`], built on up
+/// to `threads` workers. The result is identical for any thread count:
+/// every residual is an exact integer, and the certified pairs are
+/// visited in sorted edge order.
 pub fn filtering(
-    g: &ProjectedGraph,
-    reconstruction: &mut Hypergraph,
-) -> (ProjectedGraph, FilterStats) {
-    filtering_threaded(g, reconstruction, 1)
-}
-
-/// [`filtering`] with the per-edge MHH bounds computed through a
-/// round-frozen view and its [`crate::mhh::MhhCache`] (built on up to
-/// `threads` workers) instead of per-edge hash probes. The result is
-/// identical for any thread count: every residual is an exact integer on
-/// either path, and the certified pairs are visited in the same sorted
-/// edge order.
-pub fn filtering_threaded(
     g: &ProjectedGraph,
     reconstruction: &mut Hypergraph,
     threads: usize,
@@ -84,7 +75,7 @@ mod tests {
         h.add_edge_with_multiplicity(edge(&[0, 1]), 3);
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, stats) = filtering(&g, &mut rec);
+        let (g2, stats) = filtering(&g, &mut rec, 1);
         assert_eq!(rec.multiplicity(&edge(&[0, 1])), 3);
         assert!(g2.is_edgeless());
         assert_eq!(
@@ -105,7 +96,7 @@ mod tests {
         h.add_edge(edge(&[0, 1, 2]));
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, stats) = filtering(&g, &mut rec);
+        let (g2, stats) = filtering(&g, &mut rec, 1);
         assert_eq!(rec.unique_edge_count(), 0);
         assert_eq!(g2.num_edges(), 3);
         assert_eq!(stats.pairs_identified, 0);
@@ -119,7 +110,7 @@ mod tests {
         h.add_edge(edge(&[0, 1]));
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, _) = filtering(&g, &mut rec);
+        let (g2, _) = filtering(&g, &mut rec, 1);
         assert_eq!(rec.multiplicity(&edge(&[0, 1])), 1);
         assert_eq!(g2.weight(n(0), n(1)), 1);
         assert_eq!(g2.weight(n(0), n(2)), 1);
@@ -146,7 +137,7 @@ mod tests {
             }
             let g = project(&h);
             let mut rec = Hypergraph::new(0);
-            let (g2, _) = filtering(&g, &mut rec);
+            let (g2, _) = filtering(&g, &mut rec, 1);
             g2.check_invariants().unwrap();
             for (e, m) in rec.iter() {
                 assert_eq!(e.len(), 2, "filtering only emits pairs");
@@ -174,10 +165,10 @@ mod tests {
             }
             let g = project(&h);
             let mut rec1 = Hypergraph::new(0);
-            let (g1, stats1) = filtering(&g, &mut rec1);
+            let (g1, stats1) = filtering(&g, &mut rec1, 1);
             for threads in [2, 4] {
                 let mut rec = Hypergraph::new(0);
-                let (gt, stats) = filtering_threaded(&g, &mut rec, threads);
+                let (gt, stats) = filtering(&g, &mut rec, threads);
                 assert_eq!(stats, stats1);
                 assert_eq!(rec, rec1);
                 assert_eq!(gt.sorted_edge_list(), g1.sorted_edge_list());
@@ -194,7 +185,7 @@ mod tests {
         h.add_edge_with_multiplicity(edge(&[3, 4]), 2);
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, stats) = filtering(&g, &mut rec);
+        let (g2, stats) = filtering(&g, &mut rec, 1);
         assert_eq!(
             g.total_weight() - g2.total_weight(),
             stats.multiplicity_extracted

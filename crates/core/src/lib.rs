@@ -80,9 +80,12 @@
 //! [`RoundContext`]: the view plus a per-round [`mhh::MhhCache`] that
 //! computes each edge's MHH at most once no matter how many overlapping
 //! cliques share it. The context borrows the view, so the compiler
-//! keeps commits out of a pass. All scoring paths — serial, threaded,
-//! and batched ([`CliqueScorer::score_batch`]) — are bit-identical by
-//! construction and by test.
+//! keeps commits out of a pass. Scoring has one entry,
+//! [`parallel::score_cliques`], serial or fanned out over a worker pool;
+//! the search engine and the SHyRe baseline both call it. Its output is
+//! bit-identical for any pool size, and bit-identical to the hash-map
+//! oracles in [`crate::reference`] (`mhh`, `extract`, `score`), which only tests
+//! and benches call.
 //!
 //! # The removed-set invariant
 //!
@@ -110,6 +113,7 @@ pub mod persistence;
 pub mod pipeline;
 pub mod progress;
 pub mod reconstruct;
+pub mod reference;
 pub mod round;
 pub mod search;
 pub mod training;

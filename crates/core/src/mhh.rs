@@ -1,68 +1,31 @@
 //! The maximum number of higher-order hyperedges (MHH) and residual edge
 //! multiplicity (Eq. 1, Lemmas 1–2 of the paper).
 //!
-//! Two computation paths produce identical values:
+//! `MHH(u, v) = Σ_{z ∈ N(u) ∩ N(v)} min(ω_{u,z}, ω_{v,z})` is an upper
+//! bound on the number of hyperedges of size ≥ 3 containing both `u` and
+//! `v` (Lemma 1): every such hyperedge also contains some third node `z`
+//! and contributes 1 to both `ω_{u,z}` and `ω_{v,z}`. The residual
+//! `ω_{u,v} − MHH(u, v)`, clamped at zero, is then a lower bound on the
+//! copies of the size-2 hyperedge `{u, v}` (Lemma 2), which
+//! [`crate::filtering::filtering`] extracts.
 //!
-//! * [`mhh`] — hash probes against a [`ProjectedGraph`];
-//!   `O(min-degree)` probes per pair. Used by one-off queries and the
-//!   per-clique [`crate::TrainedModel::score`] reference.
-//! * [`mhh_view`] / [`MhhCache`] — sorted-merge intersection over a
-//!   [`GraphView`], such as the search engine's residual. The cache
-//!   computes every edge's MHH at most once per round, which is what
-//!   makes clique scoring cheap: overlapping cliques share most of their
-//!   pairs.
-//!
-//! Both are exact integer sums over the same set of common neighbours,
-//! so they agree bit-for-bit (property-tested).
+//! [`mhh_view`] computes one value by a sorted-merge intersection over a
+//! [`GraphView`], such as the search engine's residual; [`MhhCache`]
+//! memoizes it per edge, computing every edge's MHH at most once per
+//! round, which is what makes clique scoring cheap: overlapping cliques
+//! share most of their pairs. The hash-map oracle both are tested
+//! against is [`crate::reference::mhh`].
 
-use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph, WorkerPool};
+use marioh_hypergraph::{GraphView, NodeId, WorkerPool};
 use std::sync::Mutex;
 
-/// `MHH(u, v) = Σ_{z ∈ N(u) ∩ N(v)} min(ω_{u,z}, ω_{v,z})` — an upper
-/// bound on the number of hyperedges of size ≥ 3 containing both `u` and
-/// `v` (Lemma 1).
-///
-/// Rationale: every size-≥3 hyperedge containing `u` and `v` also contains
-/// some third node `z`, and contributes 1 to both `ω_{u,z}` and
-/// `ω_{v,z}`; summing the pairwise minima over common neighbours therefore
-/// bounds the count from above.
-pub fn mhh(g: &ProjectedGraph, u: NodeId, v: NodeId) -> u64 {
-    let (small, large) = if g.degree(u) <= g.degree(v) {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    let mut total = 0u64;
-    for (z, w_small) in g.neighbors(small) {
-        if z == large {
-            continue;
-        }
-        let w_large = g.weight(large, z);
-        if w_large > 0 {
-            total += u64::from(w_small.min(w_large));
-        }
-    }
-    total
-}
-
-/// Residual edge multiplicity `r_{u,v} = ω_{u,v} − MHH(u, v)`, clamped at
-/// zero.
-///
-/// By Lemma 2 this is a lower bound on the number of hyperedges that
-/// consist of exactly `{u, v}`, so a positive residual certifies `r`
-/// copies of the size-2 hyperedge.
-pub fn residual_multiplicity(g: &ProjectedGraph, u: NodeId, v: NodeId) -> u32 {
-    let w = u64::from(g.weight(u, v));
-    let bound = mhh(g, u, v);
-    u32::try_from(w.saturating_sub(bound)).expect("residual exceeds u32")
-}
-
-/// [`mhh`] computed against a round-frozen [`GraphView`] by the
+/// `MHH(u, v)` against a round-frozen [`GraphView`], by the
 /// dispatched sorted-merge kernel ([`marioh_kernels::intersect_min_sum`])
 /// over the two adjacency slices — no hashing, no allocation.
-/// Identical value to [`mhh`] on the source graph: both sum
-/// `min(ω_{u,z}, ω_{v,z})` over exactly `N(u) ∩ N(v)` (which can contain
-/// neither `u` nor `v`), and integer addition is order-independent.
+/// Identical value to [`crate::reference::mhh`] on the source graph: both
+/// sum `min(ω_{u,z}, ω_{v,z})` over exactly `N(u) ∩ N(v)` (which can
+/// contain neither `u` nor `v`), and integer addition is
+/// order-independent.
 pub fn mhh_view(view: &GraphView, u: NodeId, v: NodeId) -> u64 {
     let (nu, wu) = view.neighbor_entries(u);
     let (nv, wv) = view.neighbor_entries(v);
@@ -262,10 +225,24 @@ fn partition_by_capacity(view: &GraphView, workers: usize) -> (Vec<usize>, Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph};
+    use crate::reference::mhh;
+    use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph, ProjectedGraph};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// `MHH(u, v)` on the production path, against a fresh freeze.
+    fn mhh_of(g: &ProjectedGraph, u: NodeId, v: NodeId) -> u64 {
+        mhh_view(&GraphView::freeze(g), u, v)
+    }
+
+    /// The copies of `{u, v}` that filtering extracts: the clamped
+    /// residual `ω − MHH` of Lemma 2.
+    fn extracted(g: &ProjectedGraph, u: NodeId, v: NodeId) -> u32 {
+        let mut rec = Hypergraph::new(0);
+        crate::filtering::filtering(g, &mut rec, 1);
+        rec.multiplicity(&edge(&[u.0, v.0]))
     }
 
     #[test]
@@ -273,8 +250,8 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge_with_multiplicity(edge(&[0, 1]), 3);
         let g = project(&h);
-        assert_eq!(mhh(&g, n(0), n(1)), 0);
-        assert_eq!(residual_multiplicity(&g, n(0), n(1)), 3);
+        assert_eq!(mhh_of(&g, n(0), n(1)), 0);
+        assert_eq!(extracted(&g, n(0), n(1)), 3);
     }
 
     #[test]
@@ -285,8 +262,8 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
         let g = project(&h);
-        assert_eq!(mhh(&g, n(0), n(1)), 1);
-        assert_eq!(residual_multiplicity(&g, n(0), n(1)), 0);
+        assert_eq!(mhh_of(&g, n(0), n(1)), 1);
+        assert_eq!(extracted(&g, n(0), n(1)), 0);
     }
 
     #[test]
@@ -298,8 +275,8 @@ mod tests {
         h.add_edge(edge(&[0, 1]));
         let g = project(&h);
         assert_eq!(g.weight(n(0), n(1)), 2);
-        assert_eq!(mhh(&g, n(0), n(1)), 1);
-        assert_eq!(residual_multiplicity(&g, n(0), n(1)), 1);
+        assert_eq!(mhh_of(&g, n(0), n(1)), 1);
+        assert_eq!(extracted(&g, n(0), n(1)), 1);
     }
 
     #[test]
@@ -319,6 +296,9 @@ mod tests {
                 h.add_edge_with_multiplicity(edge(&nodes[..size]), rng.gen_range(1..3));
             }
             let g = project(&h);
+            let view = GraphView::freeze(&g);
+            let mut rec = Hypergraph::new(0);
+            crate::filtering::filtering(&g, &mut rec, 1);
             for (u, v, _w) in g.sorted_edge_list() {
                 // Count true higher-order hyperedges containing both.
                 let true_hh: u64 = h
@@ -327,7 +307,7 @@ mod tests {
                     .map(|(_, m)| u64::from(m))
                     .sum();
                 assert!(
-                    mhh(&g, u, v) >= true_hh,
+                    mhh_view(&view, u, v) >= true_hh,
                     "MHH violated Lemma 1 for ({u}, {v})"
                 );
                 // Lemma 2: residual is a lower bound on true size-2 count.
@@ -337,7 +317,7 @@ mod tests {
                     .map(|(_, m)| u64::from(m))
                     .sum();
                 assert!(
-                    u64::from(residual_multiplicity(&g, u, v)) <= true_pair,
+                    u64::from(rec.multiplicity(&edge(&[u.0, v.0]))) <= true_pair,
                     "residual violated Lemma 2 for ({u}, {v})"
                 );
             }

@@ -1,8 +1,8 @@
 //! The trained multiplicity-aware classifier and its scoring interface.
 
-use crate::features::{extract, extract_into, FeatureMode, FeatureScratch};
+use crate::features::{extract_into, FeatureMode, FeatureScratch};
 use crate::round::RoundContext;
-use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph};
+use marioh_hypergraph::{GraphView, NodeId};
 use marioh_ml::{Mlp, StandardScaler};
 
 /// Anything that can score a clique's likelihood of being a hyperedge.
@@ -46,17 +46,6 @@ impl TrainedModel {
     pub fn feature_mode(&self) -> FeatureMode {
         self.mode
     }
-
-    /// Scores one clique against a hash-map graph: per-clique feature
-    /// extraction and one MLP forward pass. Bit-identical to
-    /// [`CliqueScorer::score_batch`] on a view frozen from `g`; the
-    /// SHyRe baseline scores candidates this way, and the parity suites
-    /// use it as the reference.
-    pub fn score(&self, g: &ProjectedGraph, clique: &[NodeId]) -> f64 {
-        let mut feats = extract(self.mode, g, clique);
-        self.scaler.transform_in_place(&mut feats);
-        self.mlp.predict(&feats)
-    }
 }
 
 impl CliqueScorer for TrainedModel {
@@ -96,6 +85,7 @@ impl<F: Fn(&GraphView, &[NodeId]) -> f64 + Sync> CliqueScorer for FnScorer<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marioh_hypergraph::ProjectedGraph;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -110,7 +100,8 @@ mod tests {
     #[test]
     fn trained_model_batch_matches_per_clique_bitwise() {
         use crate::training::{train_classifier, TrainingConfig};
-        use marioh_hypergraph::{clique::maximal_cliques, hyperedge::edge, projection::project};
+        use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
+        use marioh_hypergraph::{hyperedge::edge, projection::project};
 
         let mut h = marioh_hypergraph::Hypergraph::new(0);
         for b in 0..12u32 {
@@ -133,9 +124,13 @@ mod tests {
             };
             let model = train_classifier(&h, &cfg, &mut rng);
             let g = project(&h);
-            let cliques = maximal_cliques(&g);
-            let reference: Vec<f64> = cliques.iter().map(|c| model.score(&g, c)).collect();
             let round = RoundContext::new(&g);
+            let ordering = DegeneracyOrdering::of(round.view());
+            let cliques = maximal_cliques(round.view(), &ordering, None);
+            let reference: Vec<f64> = cliques
+                .iter()
+                .map(|c| crate::reference::score(&model, &g, c))
+                .collect();
             let mut out = vec![0.0; cliques.len()];
             model.score_batch(&round, &cliques, &mut out);
             assert_eq!(out, reference, "mode {mode:?}");

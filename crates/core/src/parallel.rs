@@ -10,16 +10,17 @@
 //! their block's slot of the output, so the result is identical to the
 //! serial map for any thread count.
 //!
-//! Fan-out goes through a [`WorkerPool`] (the cross-round engine keeps
-//! one alive for the whole run), and batches whose total work falls below
-//! [`SCORE_PARALLEL_MIN_WORK`] run serially no matter how many threads
-//! were requested: on the small Table-1 datasets the dispatch overhead
-//! measurably exceeded the scoring itself. Results are identical either
-//! way.
+//! [`score_cliques`] is the one scoring entry: it fans out only when
+//! handed a [`WorkerPool`] with more than one thread. Whether a batch is
+//! worth fanning out is the caller's call — the cross-round engine
+//! keeps one pool alive for the whole run and sends only batches whose
+//! total work reaches [`SCORE_PARALLEL_MIN_WORK`] to it: on the small
+//! Table-1 datasets the dispatch overhead measurably exceeded the
+//! scoring itself. Results are identical either way.
 
 use crate::model::CliqueScorer;
 use crate::round::RoundContext;
-use marioh_hypergraph::{NodeId, ProjectedGraph, WorkerPool};
+use marioh_hypergraph::{NodeId, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -44,67 +45,32 @@ pub(crate) fn score_work(cliques: &[Vec<NodeId>]) -> usize {
         .sum()
 }
 
-/// Scores every clique in `cliques` against a context frozen from `g`.
-/// `out[i]` is the score of `cliques[i]`; results are identical for any
-/// `threads`.
+/// Scores every clique in `cliques` against the frozen `round`:
+/// `out[i]` is the score of `cliques[i]`.
 ///
-/// Convenience wrapper: callers inside the search loop hold a
-/// [`RoundContext`] already and use [`score_cliques_round`] directly,
-/// sharing the frozen view (and MHH memo) with enumeration.
+/// Without a pool, or with a one-thread pool, this is one
+/// [`CliqueScorer::score_batch`] call. A larger `pool` always fans out:
+/// workers steal fixed-size blocks off an atomic counter, and each
+/// block's output slot is handed to exactly one worker, so scores land
+/// at their original indices without any post-hoc merge — bit-identical
+/// to the serial call for any pool size.
 pub fn score_cliques(
     scorer: &dyn CliqueScorer,
-    g: &ProjectedGraph,
-    cliques: &[Vec<NodeId>],
-    threads: usize,
-) -> Vec<f64> {
-    let round = RoundContext::with_threads(g, threads);
-    score_cliques_round(scorer, &round, cliques, threads)
-}
-
-/// [`score_cliques`] against an existing round-frozen context.
-///
-/// Serial — or any batch whose [work](SCORE_PARALLEL_MIN_WORK) is too
-/// small to amortise fan-out — makes one [`CliqueScorer::score_batch`]
-/// call; larger parallel runs fan out over a transient [`WorkerPool`].
-/// Callers that keep a pool alive across rounds use
-/// [`score_cliques_pool`] instead.
-pub fn score_cliques_round(
-    scorer: &dyn CliqueScorer,
     round: &RoundContext<'_>,
     cliques: &[Vec<NodeId>],
-    threads: usize,
-) -> Vec<f64> {
-    if threads <= 1 || score_work(cliques) < SCORE_PARALLEL_MIN_WORK {
-        let mut scores = vec![0.0; cliques.len()];
-        if !cliques.is_empty() {
-            scorer.score_batch(round, cliques, &mut scores);
-        }
-        return scores;
-    }
-    let pool = WorkerPool::new(threads);
-    score_cliques_pool(scorer, round, cliques, &pool)
-}
-
-/// [`score_cliques_round`] against a caller-owned [`WorkerPool`]: always
-/// fans out when the pool has more than one thread (callers apply their
-/// own work thresholds). Workers steal fixed-size blocks off an atomic
-/// counter; each block's output slot is handed to exactly one
-/// worker, so scores land at their original indices without any post-hoc
-/// merge — bit-identical to the serial map.
-pub fn score_cliques_pool(
-    scorer: &dyn CliqueScorer,
-    round: &RoundContext<'_>,
-    cliques: &[Vec<NodeId>],
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
 ) -> Vec<f64> {
     let mut scores = vec![0.0; cliques.len()];
     if cliques.is_empty() {
         return scores;
     }
-    if pool.threads() <= 1 {
-        scorer.score_batch(round, cliques, &mut scores);
-        return scores;
-    }
+    let pool = match pool {
+        Some(pool) if pool.threads() > 1 => pool,
+        _ => {
+            scorer.score_batch(round, cliques, &mut scores);
+            return scores;
+        }
+    };
     let num_blocks = cliques.len().div_ceil(STEAL_BLOCK);
     {
         // Every block's output slice sits in one slot; a worker that wins
@@ -134,7 +100,7 @@ pub fn score_cliques_pool(
 mod tests {
     use super::*;
     use crate::model::FnScorer;
-    use marioh_hypergraph::GraphView;
+    use marioh_hypergraph::{GraphView, ProjectedGraph};
 
     fn ring_graph(n: u32) -> ProjectedGraph {
         let mut g = ProjectedGraph::new(n);
@@ -153,13 +119,20 @@ mod tests {
         let cliques: Vec<Vec<NodeId>> = (0..500u32)
             .map(|i| vec![NodeId(i % 8), NodeId((i + 1) % 8)])
             .collect();
-        let serial = score_cliques(&scorer, &g, &cliques, 1);
+        let round = RoundContext::new(&g);
+        let serial = score_cliques(&scorer, &round, &cliques, None);
         for threads in [2, 4, 16] {
-            assert_eq!(score_cliques(&scorer, &g, &cliques, threads), serial);
-            // The pool path has no work gate, so it genuinely fans out.
+            // The entry has no work gate, so it genuinely fans out.
             let pool = WorkerPool::new(threads);
-            let round = RoundContext::new(&g);
-            assert_eq!(score_cliques_pool(&scorer, &round, &cliques, &pool), serial);
+            let threaded = RoundContext::with_threads(&g, threads);
+            assert_eq!(
+                score_cliques(&scorer, &threaded, &cliques, Some(&pool)),
+                serial
+            );
+            assert_eq!(
+                score_cliques(&scorer, &round, &cliques, Some(&pool)),
+                serial
+            );
         }
     }
 
@@ -178,12 +151,19 @@ mod tests {
                 (0..len).map(|k| NodeId((i + k) % 64)).collect()
             })
             .collect();
-        let serial = score_cliques(&scorer, &g, &cliques, 1);
+        let round = RoundContext::new(&g);
+        let serial = score_cliques(&scorer, &round, &cliques, None);
         for threads in [2, 3, 8] {
-            assert_eq!(score_cliques(&scorer, &g, &cliques, threads), serial);
             let pool = WorkerPool::new(threads);
-            let round = RoundContext::new(&g);
-            assert_eq!(score_cliques_pool(&scorer, &round, &cliques, &pool), serial);
+            let threaded = RoundContext::with_threads(&g, threads);
+            assert_eq!(
+                score_cliques(&scorer, &threaded, &cliques, Some(&pool)),
+                serial
+            );
+            assert_eq!(
+                score_cliques(&scorer, &round, &cliques, Some(&pool)),
+                serial
+            );
         }
     }
 
@@ -192,7 +172,12 @@ mod tests {
         let g = ring_graph(5);
         let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| c.len() as f64);
         let cliques = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(1), NodeId(2)]];
-        assert_eq!(score_cliques(&scorer, &g, &cliques, 8), vec![2.0, 2.0]);
+        let round = RoundContext::with_threads(&g, 8);
+        let pool = WorkerPool::new(8);
+        assert_eq!(
+            score_cliques(&scorer, &round, &cliques, Some(&pool)),
+            vec![2.0, 2.0]
+        );
     }
 
     #[test]
@@ -208,9 +193,9 @@ mod tests {
     fn empty_input_is_fine() {
         let g = ring_graph(3);
         let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 1.0);
-        assert!(score_cliques(&scorer, &g, &[], 4).is_empty());
-        let pool = WorkerPool::new(4);
         let round = RoundContext::new(&g);
-        assert!(score_cliques_pool(&scorer, &round, &[], &pool).is_empty());
+        assert!(score_cliques(&scorer, &round, &[], None).is_empty());
+        let pool = WorkerPool::new(4);
+        assert!(score_cliques(&scorer, &round, &[], Some(&pool)).is_empty());
     }
 }

@@ -225,6 +225,8 @@ impl TrainedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::score_cliques;
+    use crate::round::RoundContext;
     use crate::training::{train_classifier, TrainingConfig};
     use marioh_hypergraph::{hyperedge::edge, projection::project, Hypergraph, NodeId};
     use rand::{rngs::StdRng, SeedableRng};
@@ -250,12 +252,15 @@ mod tests {
         model.write_to(&mut buf).unwrap();
         let back = TrainedModel::read_from(buf.as_slice()).unwrap();
         assert_eq!(back.feature_mode(), model.feature_mode());
-        for clique in [
+        let round = RoundContext::new(&g);
+        let cliques = [
             vec![NodeId(0), NodeId(1), NodeId(2)],
             vec![NodeId(0), NodeId(1)],
-        ] {
-            assert_eq!(model.score(&g, &clique), back.score(&g, &clique));
-        }
+        ];
+        assert_eq!(
+            score_cliques(&model, &round, &cliques, None),
+            score_cliques(&back, &round, &cliques, None)
+        );
     }
 
     #[test]

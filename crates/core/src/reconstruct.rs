@@ -2,7 +2,7 @@
 
 use crate::engine::SearchEngine;
 use crate::error::MariohError;
-use crate::filtering::{filtering_threaded, FilterStats};
+use crate::filtering::{filtering, FilterStats};
 use crate::model::{CliqueScorer, TrainedModel};
 use crate::pipeline::Reconstructor;
 use crate::progress::{CancelToken, NoopObserver, ProgressObserver};
@@ -137,7 +137,7 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
         let t0 = std::time::Instant::now();
         let (g2, stats) = {
             let _span = marioh_obs::Span::enter("filtering");
-            filtering_threaded(g, &mut reconstruction, cfg.threads)
+            filtering(g, &mut reconstruction, cfg.threads)
         };
         report.filtering_secs = t0.elapsed().as_secs_f64();
         observer.on_filtering_done(&stats, report.filtering_secs);

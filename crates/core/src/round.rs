@@ -14,7 +14,9 @@
 //!
 //! * [`RoundContext::new`] / [`RoundContext::with_threads`] — freeze a
 //!   [`ProjectedGraph`] now, owning the view (one-shot callers:
-//!   filtering, training, benches).
+//!   filtering, training, the SHyRe baseline, benches). The view serves
+//!   enumeration ([`marioh_hypergraph::clique::maximal_cliques`]) as well
+//!   as scoring ([`crate::parallel::score_cliques`]).
 //! * [`RoundContext::with_frozen`] — borrow the residual view (and
 //!   optionally an MHH memo) of the cross-round
 //!   [`crate::engine::SearchEngine`], which patches both with every
@@ -145,7 +147,7 @@ mod tests {
         assert_eq!(ctx.view().num_edges(), g.num_edges());
         assert_eq!(
             ctx.mhh_cache().get(ctx.view(), NodeId(0), NodeId(1)),
-            Some(crate::mhh::mhh(&g, NodeId(0), NodeId(1)))
+            Some(crate::reference::mhh(&g, NodeId(0), NodeId(1)))
         );
         // Second call returns the same memo (OnceLock).
         let first = ctx.mhh_cache() as *const MhhCache;
@@ -175,7 +177,10 @@ mod tests {
         let never_requested = RoundContext::with_frozen(&view, None, 1);
         assert!(never_requested.take_mhh().is_none());
         let expected = ctx.mhh_cache().get(&view, NodeId(0), NodeId(1));
-        assert_eq!(expected, Some(crate::mhh::mhh(&g, NodeId(0), NodeId(1))));
+        assert_eq!(
+            expected,
+            Some(crate::reference::mhh(&g, NodeId(0), NodeId(1)))
+        );
         let taken = ctx.take_mhh().expect("memo was built in this pass");
         assert_eq!(taken.get(&view, NodeId(0), NodeId(1)), expected);
     }

@@ -12,7 +12,7 @@ use crate::features::{extract_into, FeatureMode, FeatureScratch};
 use crate::model::TrainedModel;
 use crate::progress::CancelToken;
 use crate::round::RoundContext;
-use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset};
+use marioh_hypergraph::clique::{maximal_cliques, sample_k_subset, DegeneracyOrdering};
 use marioh_hypergraph::fxhash::FxHashSet;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId};
@@ -90,10 +90,11 @@ pub fn build_training_set<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TrainingSet {
     let g = project(source);
-    // One frozen round context serves every extraction below: the CSR
-    // view and (lazily) the MHH cache are built once instead of
-    // re-deriving per-pair state clique by clique.
+    // One frozen round context serves the enumeration and every
+    // extraction below: the CSR view and (lazily) the MHH cache are
+    // built once instead of re-deriving per-pair state clique by clique.
     let round = RoundContext::new(&g);
+    let view = round.view();
     let mut scratch = FeatureScratch::default();
     let dim = cfg.feature_mode.dim();
     let mut features = Vec::new();
@@ -112,7 +113,7 @@ pub fn build_training_set<R: Rng + ?Sized>(
 
     // Negatives, stage 1: maximal cliques that are not hyperedges.
     let mut seen: FxHashSet<Hyperedge> = FxHashSet::default();
-    let cliques = maximal_cliques(&g);
+    let cliques = maximal_cliques(view, &DegeneracyOrdering::of(view), None);
     let mut negatives: Vec<Vec<NodeId>> = Vec::new();
     for c in &cliques {
         if negatives.len() >= target_neg {
@@ -218,6 +219,7 @@ pub fn train_classifier_cancellable<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::score_cliques;
     use marioh_hypergraph::hyperedge::edge;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -270,20 +272,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let model = train_classifier(&h, &TrainingConfig::default(), &mut rng);
         let g = project(&h);
+        let round = RoundContext::new(&g);
         // Average score of true hyperedges should exceed that of
         // non-hyperedge cliques.
-        let mut pos_scores = Vec::new();
-        for e in h.sorted_edges() {
-            pos_scores.push(model.score(&g, e.nodes()));
-        }
+        let positives: Vec<Vec<NodeId>> = h
+            .sorted_edges()
+            .iter()
+            .map(|e| e.nodes().to_vec())
+            .collect();
+        let pos_scores = score_cliques(&model, &round, &positives, None);
         let pos_mean: f64 = pos_scores.iter().sum::<f64>() / pos_scores.len() as f64;
         // Pairs inside triangles are not hyperedges (except the chords we
         // added): {b*2, b*2+1} never is.
-        let mut neg_scores = Vec::new();
-        for b in 0..12u32 {
-            let c = [NodeId(b * 2), NodeId(b * 2 + 1)];
-            neg_scores.push(model.score(&g, &c));
-        }
+        let negatives: Vec<Vec<NodeId>> = (0..12u32)
+            .map(|b| vec![NodeId(b * 2), NodeId(b * 2 + 1)])
+            .collect();
+        let neg_scores = score_cliques(&model, &round, &negatives, None);
         let neg_mean: f64 = neg_scores.iter().sum::<f64>() / neg_scores.len() as f64;
         assert!(
             pos_mean > neg_mean,
@@ -306,7 +310,8 @@ mod tests {
         let score = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let model = train_classifier(&h, &TrainingConfig::default(), &mut rng);
-            model.score(&g, &[NodeId(0), NodeId(1), NodeId(2)])
+            let clique = vec![NodeId(0), NodeId(1), NodeId(2)];
+            score_cliques(&model, &RoundContext::new(&g), &[clique], None)[0]
         };
         assert_eq!(score(9), score(9));
     }

@@ -2,7 +2,7 @@
 //! inside a parallel scoring job should not deadlock.
 
 use marioh_core::model::CliqueScorer;
-use marioh_core::parallel::score_cliques_pool;
+use marioh_core::parallel::score_cliques;
 use marioh_core::round::RoundContext;
 use marioh_hypergraph::{GraphView, NodeId, ProjectedGraph, WorkerPool};
 
@@ -41,7 +41,7 @@ fn lazy_mhh_build_inside_pool_scoring_does_not_deadlock() {
             .into_iter()
             .map(|(u, v, _)| vec![u, v])
             .collect();
-        let scores = score_cliques_pool(&MhhScorer, &ctx, &cliques, &pool);
+        let scores = score_cliques(&MhhScorer, &ctx, &cliques, Some(&pool));
         tx.send(scores.len()).unwrap();
     });
     match rx.recv_timeout(std::time::Duration::from_secs(20)) {

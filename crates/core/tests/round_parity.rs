@@ -4,16 +4,23 @@
 //! `extract_into`, batched `score_batch`) must not move a single bit:
 //! serial, threaded, and batched scoring — and whole search rounds built
 //! on them — agree exactly with the per-clique hash-map path on seeded
-//! random inputs.
+//! random inputs (the oracle in `marioh_core::reference`).
 
 use marioh_core::model::CliqueScorer;
-use marioh_core::parallel::{score_cliques, score_cliques_round};
+use marioh_core::parallel::score_cliques;
+use marioh_core::reference;
 use marioh_core::training::train_classifier;
 use marioh_core::{CancelToken, FeatureMode, RoundContext, SearchEngine, TrainingConfig};
-use marioh_hypergraph::clique::maximal_cliques;
+use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
 use marioh_hypergraph::hyperedge::edge;
 use marioh_hypergraph::projection::project;
-use marioh_hypergraph::{Hypergraph, ProjectedGraph};
+use marioh_hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph, WorkerPool};
+
+/// Every maximal clique of `g`, enumerated serially on one freeze.
+fn cliques_of(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
+    let view = GraphView::freeze(g);
+    maximal_cliques(&view, &DegeneracyOrdering::of(&view), None)
+}
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A structured random hypergraph with all three multiplicity regimes.
@@ -48,7 +55,7 @@ fn serial_threaded_and_batched_scoring_are_bit_identical() {
     for case in 0..4 {
         let h = random_hypergraph(&mut rng, 6 + case * 3);
         let g = project(&h);
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
         assert!(!cliques.is_empty());
         for mode in [
             FeatureMode::Multiplicity,
@@ -58,23 +65,28 @@ fn serial_threaded_and_batched_scoring_are_bit_identical() {
             let model = trained_model(&h, mode, 7 + u64::from(case));
             // Reference: the pre-refactor path — per-clique extraction
             // and prediction against the hash-map graph.
-            let reference: Vec<f64> = cliques.iter().map(|c| model.score(&g, c)).collect();
+            let reference: Vec<f64> = cliques
+                .iter()
+                .map(|c| reference::score(&model, &g, c))
+                .collect();
             // Batched against an explicit frozen context.
             let round = RoundContext::new(&g);
             let mut batched = vec![0.0; cliques.len()];
             model.score_batch(&round, &cliques, &mut batched);
             assert_eq!(batched, reference, "batched diverged ({mode:?})");
-            // Serial and threaded through the public entry points.
+            // Serial and threaded through the public entry point.
             for threads in [1, 2, 4] {
+                let pool = WorkerPool::new(threads);
+                let threaded = RoundContext::with_threads(&g, threads);
                 assert_eq!(
-                    score_cliques(&model, &g, &cliques, threads),
+                    score_cliques(&model, &threaded, &cliques, Some(&pool)),
                     reference,
                     "score_cliques diverged at {threads} threads ({mode:?})"
                 );
                 assert_eq!(
-                    score_cliques_round(&model, &round, &cliques, threads),
+                    score_cliques(&model, &round, &cliques, Some(&pool)),
                     reference,
-                    "score_cliques_round diverged at {threads} threads ({mode:?})"
+                    "score_cliques on a shared context diverged at {threads} threads ({mode:?})"
                 );
             }
         }
@@ -133,8 +145,15 @@ fn view_scoring_handles_graphs_with_isolated_and_dense_regions() {
     }
     h.add_edge_with_multiplicity(edge(&[20, 21]), 5);
     let model = trained_model(&h, FeatureMode::Multiplicity, 99);
-    let cliques = maximal_cliques(&g);
-    let reference: Vec<f64> = cliques.iter().map(|c| model.score(&g, c)).collect();
+    let cliques = cliques_of(&g);
+    let reference: Vec<f64> = cliques
+        .iter()
+        .map(|c| reference::score(&model, &g, c))
+        .collect();
     let round = RoundContext::with_threads(&g, 4);
-    assert_eq!(score_cliques_round(&model, &round, &cliques, 4), reference);
+    let pool = WorkerPool::new(4);
+    assert_eq!(
+        score_cliques(&model, &round, &cliques, Some(&pool)),
+        reference
+    );
 }

@@ -3,17 +3,34 @@
 //! All clique-candidate generation in this workspace — MARIOH's
 //! bidirectional search as well as the clique-based baselines — goes
 //! through this module, mirroring the paper's note that "the same maximal
-//! clique detection algorithm was used across all methods".
+//! clique detection algorithm was used across all methods". It has two
+//! enumeration entries, both over a frozen [`GraphView`] and a
+//! [`DegeneracyOrdering`]:
+//!
+//! * [`maximal_cliques`] — every maximal clique;
+//! * [`maximal_cliques_region`] — only those touching a dirty vertex set,
+//!   the search engine's incremental re-enumeration.
+//!
+//! Both take an optional [`WorkerPool`]. Given one with more than one
+//! thread, the Bron–Kerbosch outer loop fans out over it: each root
+//! vertex's subproblem touches only the immutable view, so workers pull
+//! roots from a shared atomic counter (hub vertices make static chunking
+//! lopsided). The merged output is sorted, so results are byte-identical
+//! for any pool size. Whether a graph is large enough to amortise the
+//! fan-out is the caller's decision (the search engine gates it).
 
 use crate::graph::ProjectedGraph;
 use crate::node::NodeId;
+use crate::pool::WorkerPool;
 use crate::view::GraphView;
 use rand::Rng;
+use std::sync::atomic::{self, AtomicUsize};
+use std::sync::Mutex;
 
 /// Splits the neighbourhood of root `u` into the Bron–Kerbosch `(P, X)`
 /// sets by degeneracy rank: later-ranked neighbours are candidates,
 /// earlier-ranked ones exclusions.
-pub(crate) fn root_split(view: &GraphView, rank: &[u32], u: NodeId) -> (Vec<u32>, Vec<u32>) {
+fn root_split(view: &GraphView, rank: &[u32], u: NodeId) -> (Vec<u32>, Vec<u32>) {
     let mut p: Vec<u32> = Vec::new();
     let mut x: Vec<u32> = Vec::new();
     for &v in view.neighbors(u) {
@@ -41,60 +58,159 @@ fn intersection_size(a: &[u32], b: &[u32]) -> usize {
     marioh_kernels::intersect_count(a, b)
 }
 
-/// Computes a degeneracy ordering of `view`'s nodes (bucket queue,
-/// O(V + E)): each node, when taken, has the minimum degree among the
-/// nodes not yet taken. Any degeneracy ordering yields the same
-/// maximal-clique *set*, and enumeration output is sorted before being
-/// returned.
-pub fn degeneracy_ordering_view(view: &GraphView) -> Vec<NodeId> {
-    let n = view.num_nodes() as usize;
-    let mut degree: Vec<usize> = (0..n).map(|u| view.degree(NodeId(u as u32))).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
-    for (u, &d) in degree.iter().enumerate() {
-        buckets[d].push(u as u32);
+/// A degeneracy ordering of a view's vertices and its inverse rank
+/// array: the root order both enumeration entries walk.
+///
+/// Any permutation yields the correct (sorted) clique set; a degeneracy
+/// ordering gives the Eppstein–Löffler–Strash complexity bound, so a
+/// caller that caches one across rounds of a shrinking graph (degrees
+/// only decrease) keeps near-optimal behaviour without an `O(V + E)`
+/// recomputation per round.
+#[derive(Debug, Clone)]
+pub struct DegeneracyOrdering {
+    order: Vec<NodeId>,
+    rank: Vec<u32>,
+}
+
+impl DegeneracyOrdering {
+    /// Computes a degeneracy ordering of `view`'s nodes (bucket queue,
+    /// O(V + E)): each node, when taken, has the minimum degree among the
+    /// nodes not yet taken.
+    pub fn of(view: &GraphView) -> DegeneracyOrdering {
+        let n = view.num_nodes() as usize;
+        let mut degree: Vec<usize> = (0..n).map(|u| view.degree(NodeId(u as u32))).collect();
+        let max_deg = degree.iter().copied().max().unwrap_or(0);
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
+        for (u, &d) in degree.iter().enumerate() {
+            buckets[d].push(u as u32);
+        }
+        let mut removed = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut cursor = 0usize;
+        while order.len() < n {
+            while cursor < buckets.len() && buckets[cursor].is_empty() {
+                cursor += 1;
+            }
+            let Some(u) = buckets[cursor].pop() else {
+                break;
+            };
+            if removed[u as usize] || degree[u as usize] != cursor {
+                continue; // stale bucket entry
+            }
+            removed[u as usize] = true;
+            order.push(NodeId(u));
+            for &v in view.neighbors(NodeId(u)) {
+                let vi = v as usize;
+                if !removed[vi] {
+                    let d = degree[vi];
+                    degree[vi] = d - 1;
+                    buckets[d - 1].push(v);
+                    cursor = cursor.min(d - 1);
+                }
+            }
+        }
+        let mut rank = vec![0u32; n];
+        for (i, u) in order.iter().enumerate() {
+            rank[u.index()] = i as u32;
+        }
+        DegeneracyOrdering { order, rank }
     }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut cursor = 0usize;
-    while order.len() < n {
-        while cursor < buckets.len() && buckets[cursor].is_empty() {
-            cursor += 1;
+}
+
+/// Enumerates all maximal cliques (size ≥ 2) of `view`, each a sorted
+/// node vector, in sorted order.
+///
+/// Bron–Kerbosch with pivoting over the outer loop `ordering`
+/// (Eppstein–Löffler–Strash), the standard output-sensitive-in-practice
+/// variant. Given a `pool` with more than one thread, the root
+/// subproblems fan out over it; otherwise they run on the caller. The
+/// output is the same either way. `ordering` may be a cached ordering of
+/// an earlier state of the view (same vertex set): only efficiency
+/// depends on it.
+pub fn maximal_cliques(
+    view: &GraphView,
+    ordering: &DegeneracyOrdering,
+    pool: Option<&WorkerPool>,
+) -> Vec<Vec<NodeId>> {
+    enumerate_roots(view, &ordering.rank, &ordering.order, None, pool)
+}
+
+/// Enumerates exactly the maximal cliques (size ≥ 2) of `view` that
+/// contain at least one vertex with `dirty[v] == true`, in the same
+/// sorted order [`maximal_cliques`] would list them. `ordering` and
+/// `pool` work as in [`maximal_cliques`].
+///
+/// This is the incremental engine's re-enumeration primitive: after a
+/// round's commits remove edges, only cliques touching a removed-edge
+/// endpoint can have appeared or died, so the engine re-enumerates the
+/// dirty region and carries every other clique over.
+///
+/// # Panics
+///
+/// Panics if `dirty.len() != view.num_nodes()`.
+pub fn maximal_cliques_region(
+    view: &GraphView,
+    ordering: &DegeneracyOrdering,
+    dirty: &[bool],
+    pool: Option<&WorkerPool>,
+) -> Vec<Vec<NodeId>> {
+    assert_eq!(dirty.len(), view.num_nodes() as usize, "dirty mask size");
+    let roots = region_roots(view, &ordering.rank, dirty);
+    enumerate_roots(view, &ordering.rank, &roots, Some(dirty), pool)
+}
+
+/// Bron–Kerbosch over the given root vertices — full enumeration when
+/// `roots` is the whole ordering, region enumeration when a dirty mask
+/// restricts emission — serially, or fanned out over `pool` when it has
+/// more than one thread: workers pull roots off an atomic counter into
+/// per-worker shards, merged and sorted at the end.
+fn enumerate_roots(
+    view: &GraphView,
+    rank: &[u32],
+    roots: &[NodeId],
+    region: Option<&[bool]>,
+    pool: Option<&WorkerPool>,
+) -> Vec<Vec<NodeId>> {
+    let walk = |u: NodeId, out: &mut Vec<Vec<u32>>| {
+        let (p, x) = root_split(view, rank, u);
+        let mut r = vec![u.0];
+        match region {
+            None => bk_pivot(view, &mut r, p, x, out),
+            Some(dirty) => bk_pivot_region(view, &mut r, dirty[u.index()], p, x, dirty, out),
         }
-        let Some(u) = buckets[cursor].pop() else {
-            break;
-        };
-        if removed[u as usize] || degree[u as usize] != cursor {
-            continue; // stale bucket entry
+    };
+    let mut all: Vec<Vec<u32>> = Vec::new();
+    match pool {
+        Some(pool) if pool.threads() > 1 && !roots.is_empty() => {
+            let next = AtomicUsize::new(0);
+            let shards: Vec<Mutex<Vec<Vec<u32>>>> = (0..pool.threads())
+                .map(|_| Mutex::new(Vec::new()))
+                .collect();
+            pool.run(&|w| {
+                let mut out: Vec<Vec<u32>> = Vec::new();
+                while let Some(&u) = roots.get(next.fetch_add(1, atomic::Ordering::Relaxed)) {
+                    walk(u, &mut out);
+                }
+                *shards[w].lock().expect("shard poisoned") = out;
+            });
+            for shard in shards {
+                all.extend(shard.into_inner().expect("shard poisoned"));
+            }
         }
-        removed[u as usize] = true;
-        order.push(NodeId(u));
-        for &v in view.neighbors(NodeId(u)) {
-            let vi = v as usize;
-            if !removed[vi] {
-                let d = degree[vi];
-                degree[vi] = d - 1;
-                buckets[d - 1].push(v);
-                cursor = cursor.min(d - 1);
+        _ => {
+            for &u in roots {
+                walk(u, &mut all);
             }
         }
     }
-    order
-}
-
-/// Enumerates all maximal cliques of `g` (size ≥ 2), each returned as a
-/// sorted node vector. Deterministic output order (sorted at the end).
-///
-/// Implementation: Bron–Kerbosch with pivoting over a degeneracy-ordered
-/// outer loop (Eppstein–Löffler–Strash), the standard
-/// output-sensitive-in-practice variant, run serially on a fresh
-/// [`GraphView`] of `g`.
-pub fn maximal_cliques(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
-    crate::parallel::maximal_cliques_view(&GraphView::freeze(g), 1)
+    all.sort_unstable();
+    all.into_iter()
+        .map(|c| c.into_iter().map(NodeId).collect())
+        .collect()
 }
 
 /// Recursive Bron–Kerbosch step with pivoting.
-pub(crate) fn bk_pivot(
+fn bk_pivot(
     view: &GraphView,
     r: &mut Vec<u32>,
     p: Vec<u32>,
@@ -141,22 +257,21 @@ pub(crate) fn bk_pivot(
 
 /// Root vertices whose Bron–Kerbosch subtree (under the
 /// Eppstein–Löffler–Strash decomposition induced by `rank`) can emit a
-/// maximal clique containing a vertex of `dirty_list`.
+/// maximal clique containing a vertex of the `dirty` mask.
 ///
 /// ELS emits each maximal clique exactly once, from its minimum-rank
 /// member; all other members are that root's higher-ranked neighbours. A
 /// clique containing a dirty vertex `d` therefore roots either at `d`
 /// itself or at a lower-ranked neighbour of some dirty vertex — computed
-/// here from the dirty side only, `O(Σ deg(De))` instead of a full
+/// here from the dirty side only, `O(V + Σ deg(De))` instead of a full
 /// `O(V + E)` scan. Returns the set sorted by id, deduplicated (root
 /// order does not affect the sorted enumeration output).
-pub(crate) fn region_roots_local(
-    view: &GraphView,
-    rank: &[u32],
-    dirty_list: &[NodeId],
-) -> Vec<NodeId> {
+fn region_roots(view: &GraphView, rank: &[u32], dirty: &[bool]) -> Vec<NodeId> {
     let mut roots: Vec<NodeId> = Vec::new();
-    for &d in dirty_list {
+    for d in (0..view.num_nodes()).map(NodeId) {
+        if !dirty[d.index()] {
+            continue;
+        }
         roots.push(d);
         for &v in view.neighbors(d) {
             if rank[v as usize] < rank[d.index()] {
@@ -202,7 +317,7 @@ fn region_pivot(view: &GraphView, p: &[u32], x: &[u32]) -> u32 {
 /// prunes any subtree whose current clique `R` and candidate set `P` are
 /// both entirely clean (no descendant could emit a dirty clique — `R`
 /// only grows from `P`).
-pub(crate) fn bk_pivot_region(
+fn bk_pivot_region(
     view: &GraphView,
     r: &mut Vec<u32>,
     r_dirty: bool,
@@ -251,37 +366,6 @@ pub(crate) fn bk_pivot_region(
         let ins = x.binary_search(&v).unwrap_err();
         x.insert(ins, v);
     }
-}
-
-/// Enumerates exactly the maximal cliques (size ≥ 2) of `view` that
-/// contain at least one vertex with `dirty[v] == true`, in the same
-/// sorted order [`maximal_cliques`] would list them.
-///
-/// This is the incremental engine's re-enumeration primitive: after a
-/// round's commits remove edges, only cliques touching a removed-edge
-/// endpoint can have appeared or died, so the engine re-enumerates the
-/// dirty region and carries every other clique over
-/// ([`crate::parallel::maximal_cliques_region_ranked_pool`] is the
-/// fanned-out variant with a cached ordering).
-///
-/// `dirty.len()` must equal `view.num_nodes()`.
-pub fn maximal_cliques_region(view: &GraphView, dirty: &[bool]) -> Vec<Vec<NodeId>> {
-    assert_eq!(dirty.len(), view.num_nodes() as usize, "dirty mask size");
-    let (_, rank) = crate::parallel::ordering(view);
-    let dirty_list: Vec<NodeId> = (0..view.num_nodes())
-        .map(NodeId)
-        .filter(|u| dirty[u.index()])
-        .collect();
-    let mut out: Vec<Vec<u32>> = Vec::new();
-    for u in region_roots_local(view, &rank, &dirty_list) {
-        let (p, x) = root_split(view, &rank, u);
-        let mut r = vec![u.0];
-        bk_pivot_region(view, &mut r, dirty[u.index()], p, x, dirty, &mut out);
-    }
-    out.sort_unstable();
-    out.into_iter()
-        .map(|c| c.into_iter().map(NodeId).collect())
-        .collect()
 }
 
 /// Whether `clique` (sorted, distinct) is maximal in `g`.
@@ -394,6 +478,24 @@ mod tests {
         NodeId(i)
     }
 
+    /// Full serial enumeration of a hash-map graph, frozen once.
+    fn cliques_of(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
+        let view = GraphView::freeze(g);
+        maximal_cliques(&view, &DegeneracyOrdering::of(&view), None)
+    }
+
+    fn random_graph(rng: &mut rand::rngs::StdRng, nodes: u32, p: f64) -> ProjectedGraph {
+        let mut g = ProjectedGraph::new(nodes);
+        for u in 0..nodes {
+            for v in u + 1..nodes {
+                if rng.gen_bool(p) {
+                    g.add_edge_weight(n(u), n(v), 1);
+                }
+            }
+        }
+        g
+    }
+
     fn graph_from_edges(num: u32, edges: &[(u32, u32)]) -> ProjectedGraph {
         let mut g = ProjectedGraph::new(num);
         for &(u, v) in edges {
@@ -405,14 +507,14 @@ mod tests {
     #[test]
     fn triangle_is_one_clique() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
         assert_eq!(cliques, vec![vec![n(0), n(1), n(2)]]);
     }
 
     #[test]
     fn path_gives_edges() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
         assert_eq!(
             cliques,
             vec![vec![n(0), n(1)], vec![n(1), n(2)], vec![n(2), n(3)]]
@@ -422,7 +524,7 @@ mod tests {
     #[test]
     fn two_triangles_sharing_an_edge() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)]);
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
         assert_eq!(
             cliques,
             vec![vec![n(0), n(1), n(2)], vec![n(1), n(2), n(3)]]
@@ -438,7 +540,7 @@ mod tests {
             }
         }
         let g = graph_from_edges(6, &edges);
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
         assert_eq!(cliques.len(), 1);
         assert_eq!(cliques[0].len(), 6);
     }
@@ -446,7 +548,7 @@ mod tests {
     #[test]
     fn empty_graph_has_no_cliques() {
         let g = ProjectedGraph::new(5);
-        assert!(maximal_cliques(&g).is_empty());
+        assert!(cliques_of(&g).is_empty());
     }
 
     /// Brute-force reference enumerator for cross-checking.
@@ -488,7 +590,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(maximal_cliques(&g), brute_force_maximal(&g));
+            assert_eq!(cliques_of(&g), brute_force_maximal(&g));
         }
     }
 
@@ -515,7 +617,7 @@ mod tests {
                 }
             }
             let view = GraphView::freeze(&g);
-            for clique in maximal_cliques(&g) {
+            for clique in cliques_of(&g) {
                 assert!(is_maximal_view(&view, &clique));
                 for k in 2..clique.len() {
                     let sub = &clique[..k];
@@ -540,7 +642,7 @@ mod tests {
                 }
             }
             let view = GraphView::freeze(&g);
-            let order = degeneracy_ordering_view(&view);
+            let order = DegeneracyOrdering::of(&view).order;
             assert_eq!(order.len(), nodes as usize);
             let mut seen: Vec<u32> = order.iter().map(|u| u.0).collect();
             seen.sort_unstable();
@@ -585,12 +687,12 @@ mod tests {
             // Random dirty masks, including empty and full.
             for density in [0.0, 0.15, 0.5, 1.0] {
                 let dirty: Vec<bool> = (0..nodes).map(|_| rng.gen_bool(density)).collect();
-                let expected: Vec<Vec<NodeId>> = maximal_cliques(&g)
+                let expected: Vec<Vec<NodeId>> = cliques_of(&g)
                     .into_iter()
                     .filter(|c| c.iter().any(|u| dirty[u.index()]))
                     .collect();
                 assert_eq!(
-                    maximal_cliques_region(&view, &dirty),
+                    maximal_cliques_region(&view, &DegeneracyOrdering::of(&view), &dirty, None),
                     expected,
                     "nodes={nodes} density={density}"
                 );
@@ -602,7 +704,143 @@ mod tests {
     fn region_enumeration_with_empty_mask_is_empty() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let view = GraphView::freeze(&g);
-        assert!(maximal_cliques_region(&view, &[false; 4]).is_empty());
+        let ordering = DegeneracyOrdering::of(&view);
+        assert!(maximal_cliques_region(&view, &ordering, &[false; 4], None).is_empty());
+    }
+
+    #[test]
+    fn matches_serial_on_random_graphs() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..12 {
+            let nodes = rng.gen_range(2..40u32);
+            let p = rng.gen_range(0.05..0.6);
+            let g = random_graph(&mut rng, nodes, p);
+            let view = GraphView::freeze(&g);
+            let ordering = DegeneracyOrdering::of(&view);
+            let serial = cliques_of(&g);
+            for threads in [2, 3, 8] {
+                let pool = WorkerPool::new(threads);
+                assert_eq!(
+                    maximal_cliques(&view, &ordering, Some(&pool)),
+                    serial,
+                    "n={nodes} p={p} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool_enumeration_matches_serial_even_below_threshold() {
+        // The entry has no size gate (the search engine applies its
+        // own), so small graphs still exercise the fanned-out path.
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        let pool = WorkerPool::new(4);
+        for _ in 0..10 {
+            let nodes = rng.gen_range(2..35u32);
+            let g = random_graph(&mut rng, nodes, 0.4);
+            let view = GraphView::freeze(&g);
+            let ordering = DegeneracyOrdering::of(&view);
+            assert_eq!(
+                maximal_cliques(&view, &ordering, Some(&pool)),
+                cliques_of(&g)
+            );
+        }
+    }
+
+    #[test]
+    fn region_pool_matches_serial_region() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        let pool = WorkerPool::new(3);
+        for _ in 0..10 {
+            let nodes = rng.gen_range(2..30u32);
+            let g = random_graph(&mut rng, nodes, 0.45);
+            let view = GraphView::freeze(&g);
+            let ordering = DegeneracyOrdering::of(&view);
+            let dirty: Vec<bool> = (0..nodes).map(|_| rng.gen_bool(0.3)).collect();
+            assert_eq!(
+                maximal_cliques_region(&view, &ordering, &dirty, Some(&pool)),
+                maximal_cliques_region(&view, &ordering, &dirty, None)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty mask size")]
+    fn region_pool_path_checks_the_mask_size() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let view = GraphView::freeze(&g);
+        let pool = WorkerPool::new(2);
+        maximal_cliques_region(&view, &DegeneracyOrdering::of(&view), &[true], Some(&pool));
+    }
+
+    #[test]
+    fn single_thread_delegates_to_serial() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        let g = random_graph(&mut rng, 20, 0.3);
+        let view = GraphView::freeze(&g);
+        let ordering = DegeneracyOrdering::of(&view);
+        let pool = WorkerPool::new(1);
+        assert_eq!(
+            maximal_cliques(&view, &ordering, Some(&pool)),
+            cliques_of(&g)
+        );
+        assert_eq!(maximal_cliques(&view, &ordering, None), cliques_of(&g));
+    }
+
+    #[test]
+    fn prebuilt_view_matches_graph_enumeration() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..8 {
+            let nodes = rng.gen_range(2..30u32);
+            let g = random_graph(&mut rng, nodes, 0.35);
+            let view = GraphView::freeze(&g);
+            let ordering = DegeneracyOrdering::of(&view);
+            let serial = cliques_of(&g);
+            for threads in [1, 2, 4] {
+                let pool = WorkerPool::new(threads);
+                assert_eq!(maximal_cliques(&view, &ordering, Some(&pool)), serial);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_graph_yields_nothing() {
+        let g = ProjectedGraph::new(7);
+        let view = GraphView::freeze(&g);
+        let ordering = DegeneracyOrdering::of(&view);
+        assert!(maximal_cliques(&view, &ordering, None).is_empty());
+        let pool = WorkerPool::new(4);
+        assert!(maximal_cliques(&view, &ordering, Some(&pool)).is_empty());
+    }
+
+    #[test]
+    fn more_threads_than_vertices() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let view = GraphView::freeze(&g);
+        let pool = WorkerPool::new(64);
+        let cliques = maximal_cliques(&view, &DegeneracyOrdering::of(&view), Some(&pool));
+        assert_eq!(cliques, vec![vec![n(0), n(1)], vec![n(1), n(2)]]);
+    }
+
+    #[test]
+    fn dense_graph_single_clique() {
+        let mut edges = Vec::new();
+        for u in 0..10u32 {
+            for v in u + 1..10 {
+                edges.push((u, v));
+            }
+        }
+        let g = graph_from_edges(10, &edges);
+        let view = GraphView::freeze(&g);
+        let pool = WorkerPool::new(4);
+        let cliques = maximal_cliques(&view, &DegeneracyOrdering::of(&view), Some(&pool));
+        assert_eq!(cliques.len(), 1);
+        assert_eq!(cliques[0].len(), 10);
     }
 
     #[test]

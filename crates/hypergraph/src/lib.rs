@@ -41,7 +41,6 @@ pub mod io;
 pub mod metrics;
 pub mod motifs;
 pub mod node;
-pub mod parallel;
 pub mod pool;
 pub mod projection;
 pub mod properties;

@@ -1,5 +1,5 @@
 //! Hypergraph motifs (h-motifs) — Lee, Ko & Shin, PVLDB 2020 (the
-//! paper's reference [28]).
+//! paper's reference \[28\]).
 //!
 //! An h-motif describes the overlap pattern of three *connected* distinct
 //! hyperedges `(a, b, c)` by the emptiness of the seven Venn regions
@@ -7,7 +7,7 @@
 //! up to permutation of the three hyperedges — 26 non-degenerate classes
 //! in total. The census of h-motif counts is a domain fingerprint: the
 //! MARIOH paper leans on exactly this ("each domain has unique structural
-//! patterns [28]") to justify same-domain supervision, and the census
+//! patterns \[28\]") to justify same-domain supervision, and the census
 //! gives this workspace a quantitative way to compare generated stand-ins
 //! with their intended domains.
 

@@ -4,8 +4,9 @@
 //! control under adversarial scorers.
 
 use marioh::core::model::FnScorer;
+use marioh::core::parallel::score_cliques;
 use marioh::core::reconstruct::reconstruct_with_report;
-use marioh::core::{Marioh, MariohConfig, TrainingConfig};
+use marioh::core::{Marioh, MariohConfig, RoundContext, TrainingConfig};
 use marioh::hypergraph::hyperedge::edge;
 use marioh::hypergraph::projection::project;
 use marioh::hypergraph::{io, GraphView, Hypergraph, NodeId};
@@ -141,7 +142,8 @@ proptest! {
             let mut h = Hypergraph::new(3);
             h.add_edge(edge(&[0, 1, 2]));
             let g = project(&h);
-            let s = model.score(&g, &[NodeId(0), NodeId(1), NodeId(2)]);
+            let clique = vec![NodeId(0), NodeId(1), NodeId(2)];
+            let s = score_cliques(&model, &RoundContext::new(&g), &[clique], None)[0];
             prop_assert!((0.0..=1.0).contains(&s), "score {s} out of range");
         }
     }

@@ -5,9 +5,10 @@
 use marioh::baselines::shyre::{ShyreFlavor, ShyreSupervised};
 use marioh::baselines::{CFinder, ReconstructionMethod};
 use marioh::core::model::FnScorer;
+use marioh::core::parallel::score_cliques;
 use marioh::core::reconstruct::reconstruct;
 use marioh::core::training::{build_training_set, TrainingConfig};
-use marioh::core::{Marioh, MariohConfig, TrainingConfig as TC};
+use marioh::core::{Marioh, MariohConfig, RoundContext, TrainingConfig as TC};
 use marioh::datasets::PaperDataset;
 use marioh::hypergraph::hyperedge::edge;
 use marioh::hypergraph::motifs::{motif_census, profile_distance};
@@ -105,7 +106,8 @@ fn training_without_negatives_is_degenerate_but_safe() {
     assert!(set.labels.iter().all(|&l| l == 1.0));
     let model = marioh::core::training::train_classifier(&source, &cfg, &mut rng);
     let g = project(&source);
-    let p = model.score(&g, &[NodeId(0), NodeId(1), NodeId(2)]);
+    let clique = vec![NodeId(0), NodeId(1), NodeId(2)];
+    let p = score_cliques(&model, &RoundContext::new(&g), &[clique], None)[0];
     assert!((0.0..=1.0).contains(&p));
 }
 

@@ -2,11 +2,11 @@
 //! hypergraphs and graphs.
 
 use marioh::core::filtering::filtering;
-use marioh::core::mhh::{mhh, residual_multiplicity};
+use marioh::core::mhh::{mhh_view, MhhCache};
 use marioh::core::model::FnScorer;
 use marioh::core::reconstruct::reconstruct;
 use marioh::core::MariohConfig;
-use marioh::hypergraph::clique::{is_maximal, maximal_cliques};
+use marioh::hypergraph::clique::{is_maximal, maximal_cliques, DegeneracyOrdering};
 use marioh::hypergraph::hyperedge::Hyperedge;
 use marioh::hypergraph::metrics::{jaccard, multi_jaccard};
 use marioh::hypergraph::projection::project;
@@ -68,25 +68,30 @@ proptest! {
         prop_assert!((jaccard(&ra, &rb) - multi_jaccard(&ra, &rb)).abs() < 1e-12);
     }
 
-    /// Lemma 1 and Lemma 2 hold on every generated hypergraph: MHH upper-
-    /// bounds true higher-order incidence, residual lower-bounds true
-    /// size-2 multiplicity.
+    /// Lemma 1 and Lemma 2 hold on every generated hypergraph, for the
+    /// MHH values the search and filtering read (`mhh_view` and the
+    /// per-round `MhhCache`): MHH upper-bounds true higher-order
+    /// incidence, the residual lower-bounds true size-2 multiplicity.
     #[test]
     fn mhh_lemmas(h in arb_hypergraph(10, 10)) {
         let g = project(&h);
-        for (u, v, _) in g.sorted_edge_list() {
+        let view = GraphView::freeze(&g);
+        let cache = MhhCache::build(&view, 1);
+        for (u, v, w) in g.sorted_edge_list() {
             let true_higher: u64 = h
                 .iter()
                 .filter(|(e, _)| e.len() >= 3 && e.contains(u) && e.contains(v))
                 .map(|(_, m)| u64::from(m))
                 .sum();
-            prop_assert!(mhh(&g, u, v) >= true_higher);
+            let m = mhh_view(&view, u, v);
+            prop_assert_eq!(cache.get(&view, u, v), Some(m));
+            prop_assert!(m >= true_higher);
             let true_pairs: u64 = h
                 .iter()
                 .filter(|(e, _)| e.len() == 2 && e.contains(u) && e.contains(v))
                 .map(|(_, m)| u64::from(m))
                 .sum();
-            prop_assert!(u64::from(residual_multiplicity(&g, u, v)) <= true_pairs);
+            prop_assert!(u64::from(w).saturating_sub(m) <= true_pairs);
         }
     }
 
@@ -96,7 +101,7 @@ proptest! {
     fn filtering_soundness(h in arb_hypergraph(10, 10)) {
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, stats) = filtering(&g, &mut rec);
+        let (g2, stats) = filtering(&g, &mut rec, 1);
         prop_assert!(g2.check_invariants().is_ok());
         prop_assert_eq!(g.total_weight() - g2.total_weight(), stats.multiplicity_extracted);
         for (e, m) in rec.iter() {
@@ -110,7 +115,8 @@ proptest! {
     #[test]
     fn maximal_clique_cover(h in arb_hypergraph(10, 8)) {
         let g = project(&h);
-        let cliques = maximal_cliques(&g);
+        let view = GraphView::freeze(&g);
+        let cliques = maximal_cliques(&view, &DegeneracyOrdering::of(&view), None);
         for c in &cliques {
             prop_assert!(g.is_clique(c));
             prop_assert!(is_maximal(&g, c));

@@ -4,10 +4,9 @@
 
 use marioh::core::model::FnScorer;
 use marioh::core::parallel::score_cliques;
-use marioh::core::{CancelToken, SearchEngine};
-use marioh::hypergraph::clique::maximal_cliques;
-use marioh::hypergraph::parallel::maximal_cliques_view;
-use marioh::hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph};
+use marioh::core::{CancelToken, RoundContext, SearchEngine};
+use marioh::hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
+use marioh::hypergraph::{GraphView, Hypergraph, NodeId, ProjectedGraph, WorkerPool};
 use marioh::linalg::sparse::{normalized_adjacency, CsrMatrix};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -31,6 +30,12 @@ fn arb_graph(max_nodes: u32) -> impl Strategy<Value = ProjectedGraph> {
     })
 }
 
+/// Every maximal clique of `g`, enumerated serially on one freeze.
+fn cliques_of(g: &ProjectedGraph) -> Vec<Vec<NodeId>> {
+    let view = GraphView::freeze(g);
+    maximal_cliques(&view, &DegeneracyOrdering::of(&view), None)
+}
+
 /// Strategy: sparse triplets within a `rows × cols` shape.
 fn arb_triplets(rows: u32, cols: u32) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     proptest::collection::vec((0..rows, 0..cols, -5.0f64..5.0), 0..40)
@@ -43,7 +48,12 @@ proptest! {
     /// thread count.
     #[test]
     fn parallel_cliques_equal_serial(g in arb_graph(16), threads in 2usize..9) {
-        prop_assert_eq!(maximal_cliques_view(&GraphView::freeze(&g), threads), maximal_cliques(&g));
+        let view = GraphView::freeze(&g);
+        let pool = WorkerPool::new(threads);
+        prop_assert_eq!(
+            maximal_cliques(&view, &DegeneracyOrdering::of(&view), Some(&pool)),
+            cliques_of(&g)
+        );
     }
 
     /// Parallel scoring returns the same scores at the same indices.
@@ -58,10 +68,12 @@ proptest! {
             }
             acc / (acc + 1.0)
         });
-        let cliques = maximal_cliques(&g);
+        let cliques = cliques_of(&g);
+        let round = RoundContext::new(&g);
+        let pool = WorkerPool::new(threads);
         prop_assert_eq!(
-            score_cliques(&scorer, &g, &cliques, threads),
-            score_cliques(&scorer, &g, &cliques, 1)
+            score_cliques(&scorer, &round, &cliques, Some(&pool)),
+            score_cliques(&scorer, &round, &cliques, None)
         );
     }
 
