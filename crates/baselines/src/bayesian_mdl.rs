@@ -11,7 +11,7 @@
 //! "the fewest, largest cliques that explain the graph".
 
 use crate::enumerate_cliques;
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::fxhash::FxHashMap;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::Rng;
@@ -197,7 +197,7 @@ impl BayesianMdl {
     }
 }
 
-impl ReconstructionMethod for BayesianMdl {
+impl Reconstructor for BayesianMdl {
     fn name(&self) -> &str {
         "Bayesian-MDL"
     }

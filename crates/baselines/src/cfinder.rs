@@ -10,7 +10,7 @@
 //! projection and the best-scoring k is kept.
 
 use crate::enumerate_cliques;
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::metrics::jaccard;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
@@ -146,7 +146,7 @@ impl CFinder {
     }
 }
 
-impl ReconstructionMethod for CFinder {
+impl Reconstructor for CFinder {
     fn name(&self) -> &str {
         "CFinder"
     }

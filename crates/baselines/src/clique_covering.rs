@@ -4,7 +4,7 @@
 //! that cover many still-uncovered edges, until every edge of the graph is
 //! covered; each grown clique becomes a hyperedge.
 
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::fxhash::FxHashSet;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::RngCore;
@@ -21,7 +21,7 @@ fn pair_key(u: NodeId, v: NodeId) -> (u32, u32) {
     }
 }
 
-impl ReconstructionMethod for CliqueCovering {
+impl Reconstructor for CliqueCovering {
     fn name(&self) -> &str {
         "CliqueCovering"
     }

@@ -7,7 +7,7 @@
 //! `ε`-fraction of its nodes inside the other. The paper configures
 //! `ε = 1` (merge only on containment) and a minimum community size of 2.
 
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::fxhash::FxHashMap;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::Rng;
@@ -143,7 +143,7 @@ impl Demon {
     }
 }
 
-impl ReconstructionMethod for Demon {
+impl Reconstructor for Demon {
     fn name(&self) -> &str {
         "Demon"
     }

@@ -2,8 +2,7 @@
 //! paper).
 //!
 //! Three families, all implementing the core [`Reconstructor`] trait
-//! (re-exported here, also under its historical name
-//! [`ReconstructionMethod`]):
+//! (re-exported here):
 //!
 //! * overlapping community detection — [`demon`], [`cfinder`],
 //! * clique decomposition — [`max_clique`], [`clique_covering`],
@@ -29,7 +28,7 @@ pub use cfinder::CFinder;
 pub use clique_covering::CliqueCovering;
 pub use demon::Demon;
 pub use max_clique::MaxClique;
-pub use method::{ReconstructionMethod, Reconstructor};
+pub use method::Reconstructor;
 pub use shyre::{ShyreSupervised, ShyreUnsup};
 
 use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};

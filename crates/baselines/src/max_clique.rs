@@ -2,7 +2,7 @@
 //! (Bron & Kerbosch, Algorithm 457).
 
 use crate::enumerate_cliques;
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::{Hyperedge, Hypergraph, ProjectedGraph};
 use rand::RngCore;
 
@@ -15,7 +15,7 @@ use rand::RngCore;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxClique;
 
-impl ReconstructionMethod for MaxClique {
+impl Reconstructor for MaxClique {
     fn name(&self) -> &str {
         "MaxClique"
     }

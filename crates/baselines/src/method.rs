@@ -3,9 +3,7 @@
 //! The trait lives in [`marioh_core::pipeline`] since the unified-API
 //! redesign — MARIOH itself, every ablation variant, and all baselines
 //! implement it, so the experiment harness, CLI, and examples share one
-//! method zoo. This module re-exports it under both the new name
-//! ([`Reconstructor`]) and the historical one
-//! ([`ReconstructionMethod`]) for backward compatibility.
+//! method zoo. This module re-exports it.
 //!
 //! The former `MariohMethod` adapter is gone: [`marioh_core::Marioh`]
 //! implements the trait directly (train one through
@@ -13,7 +11,6 @@
 //! [`marioh_core::Variant`]).
 
 pub use marioh_core::pipeline::Reconstructor;
-pub use marioh_core::pipeline::Reconstructor as ReconstructionMethod;
 
 #[cfg(test)]
 mod tests {
@@ -41,7 +38,7 @@ mod tests {
             .expect("defaults are valid")
             .train(&source, &mut rng)
             .expect("non-empty source");
-        assert_eq!(ReconstructionMethod::name(&method), "MARIOH");
+        assert_eq!(Reconstructor::name(&method), "MARIOH");
         let rec = method
             .reconstruct(&project(&target), &mut rng)
             .expect("not cancelled");

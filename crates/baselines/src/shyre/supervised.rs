@@ -8,7 +8,7 @@
 //! weakness: unsampled hyperedges are unrecoverable false negatives, and
 //! edge multiplicity is ignored entirely.
 
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use crate::shyre::rho::RhoStatistics;
 use marioh_core::features::FeatureMode;
 use marioh_core::model::TrainedModel;
@@ -80,7 +80,7 @@ fn sample_count(expected: f64, rng: &mut dyn RngCore) -> usize {
     base + usize::from(rng.gen_range(0.0..1.0f64) < frac)
 }
 
-impl ReconstructionMethod for ShyreSupervised {
+impl Reconstructor for ShyreSupervised {
     fn name(&self) -> &str {
         self.flavor.method_name()
     }

@@ -10,7 +10,7 @@
 //! which preserves the output while keeping the harness usable.
 
 use crate::enumerate_cliques;
-use crate::method::ReconstructionMethod;
+use crate::method::Reconstructor;
 use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId, ProjectedGraph};
 use rand::RngCore;
 
@@ -36,7 +36,7 @@ fn avg_multiplicity(g: &ProjectedGraph, clique: &[NodeId]) -> f64 {
     }
 }
 
-impl ReconstructionMethod for ShyreUnsup {
+impl Reconstructor for ShyreUnsup {
     fn name(&self) -> &str {
         "SHyRe-Unsup"
     }

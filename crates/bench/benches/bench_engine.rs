@@ -1,32 +1,31 @@
-//! Full multi-round reconstruction benchmark: incremental engine vs the
-//! pre-engine search path.
+//! Full multi-round reconstruction benchmark: the cross-round engine vs
+//! the pre-engine search path.
 //!
 //! Where `bench_round` times a *single* search round, this runs the whole
 //! outer loop (Algorithm 1) per Table-1 dataset with a genuinely trained
-//! classifier, three ways:
+//! classifier, two ways:
 //!
-//! * **incremental** — the cross-round [`marioh_core::SearchEngine`]
-//!   (the default): one freeze/ordering per run, a carried clique list
-//!   re-enumerated only around removed edges, patched MHH memo, one
-//!   persistent worker pool. Every round scores its whole clique list.
-//! * **rebuild** — the same engine with carry-over disabled
-//!   (`incremental: false`): re-enumerates every round and rebuilds its
-//!   MHH memo and ordering, but keeps the persistent pool and
-//!   within-round MHH patching.
+//! * **incremental** — `reconstruct_with_report` on the cross-round
+//!   [`marioh_core::SearchEngine`]: one freeze/ordering per run, a
+//!   carried clique list re-enumerated only around removed edges,
+//!   patched MHH memo, and the run's one worker pool. Every round
+//!   scores its whole clique list.
 //! * **legacy** — a faithful replica of the pre-engine round (PR 3's
 //!   code): freeze + degeneracy ordering every pass, full Bron–Kerbosch
 //!   every round, a *fresh* lazily-built MHH memo per scoring pass
 //!   (phase 2 built its own), and worker threads spawned per stage at
 //!   the requested thread count (spawning was unconditional for
-//!   enumeration, `≥ 64` cliques for scoring).
+//!   enumeration, `≥ 64` cliques for scoring, and at the MHH build's
+//!   slot floor for each memo).
 //!
-//! Every mode is asserted bit-identical before any number is reported;
-//! the headline `speedup` is legacy / incremental. Results land in
+//! Both are asserted bit-identical before any number is reported; the
+//! headline `speedup` is legacy / incremental. Results land in
 //! `BENCH_engine.json` at the workspace root. `MARIOH_BENCH_SMOKE=1`
 //! runs a single tiny dataset once and writes to
 //! `target/BENCH_engine.smoke.json`, leaving the committed baseline
 //! untouched.
 
+use marioh_core::mhh::MHH_PARALLEL_MIN_SLOTS;
 use marioh_core::model::CliqueScorer;
 use marioh_core::parallel::score_cliques;
 use marioh_core::reconstruct::{reconstruct_with_report, ReconstructionReport};
@@ -51,6 +50,13 @@ const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// PR 3's scoring-parallelism threshold (clique count, not work).
 const LEGACY_SCORE_PARALLEL_THRESHOLD: usize = 64;
+
+/// The pool one legacy pass's lazy MHH build fans out over, spawned for
+/// that pass alone above the build's slot floor (a fresh freeze has two
+/// slots per edge): the old per-pass thread spawns of the MHH build.
+fn legacy_mhh_pool(g: &ProjectedGraph, threads: usize) -> Option<WorkerPool> {
+    (threads > 1 && 2 * g.num_edges() >= MHH_PARALLEL_MIN_SLOTS).then(|| WorkerPool::new(threads))
+}
 
 fn legacy_score(
     scorer: &dyn CliqueScorer,
@@ -107,7 +113,11 @@ fn legacy_round(
     let mut stats = SearchStats::default();
     let (cliques, scores) = {
         // Freeze per round; fresh lazy MHH memo per pass.
-        let round = RoundContext::with_threads(g, threads);
+        let mhh_pool = legacy_mhh_pool(g, threads);
+        let mut round = RoundContext::new(g);
+        if let Some(pool) = &mhh_pool {
+            round = round.with_pool(pool);
+        }
         let ordering = DegeneracyOrdering::of(round.view());
         let cliques = if threads > 1 {
             // Old enumeration spawned unconditionally when threads > 1.
@@ -157,7 +167,11 @@ fn legacy_round(
         Vec::new()
     } else {
         // Second freeze + second from-scratch MHH memo of the round.
-        let round = RoundContext::with_threads(g, threads);
+        let mhh_pool = legacy_mhh_pool(g, threads);
+        let mut round = RoundContext::new(g);
+        if let Some(pool) = &mhh_pool {
+            round = round.with_pool(pool);
+        }
         legacy_score(scorer, &round, &candidates, threads)
     };
     let mut sub_scored: Vec<(f64, Vec<NodeId>)> = sub_scores
@@ -186,7 +200,8 @@ fn legacy_reconstruct(
     let mut reconstruction = Hypergraph::new(g.num_nodes());
     let mut work = if cfg.use_filtering {
         let t0 = Instant::now();
-        let (g2, stats) = marioh_core::filtering::filtering(g, &mut reconstruction, cfg.threads);
+        let pool = legacy_mhh_pool(g, cfg.threads);
+        let (g2, stats) = marioh_core::filtering::filtering(g, &mut reconstruction, pool.as_ref());
         report.filtering_secs = t0.elapsed().as_secs_f64();
         report.filter_stats = Some(stats);
         g2
@@ -232,8 +247,8 @@ struct DatasetResult {
     edges: usize,
     rounds: usize,
     reuse_ratio: f64,
-    /// Per thread count: (incremental, rebuild, legacy) search seconds.
-    search_secs: [(f64, f64, f64); THREAD_COUNTS.len()],
+    /// Per thread count: (incremental, legacy) search seconds.
+    search_secs: [(f64, f64); THREAD_COUNTS.len()],
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -258,10 +273,9 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
     let mut rng = StdRng::seed_from_u64(1);
     let model = train_classifier(&generated.hypergraph, &cfg, &mut rng);
 
-    let engine_run = |threads: usize, incremental: bool| {
+    let engine_run = |threads: usize| {
         let cfg = MariohConfig {
             threads,
-            incremental,
             ..MariohConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(7);
@@ -278,24 +292,21 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
 
     // Sub-5ms runs are at the mercy of scheduler noise: take many more
     // samples so the reported medians are stable.
-    let reps = if reps > 1 && engine_run(1, true).1.search_secs < 0.005 {
+    let reps = if reps > 1 && engine_run(1).1.search_secs < 0.005 {
         reps.max(25)
     } else {
         reps
     };
 
-    let mut search_secs = [(0.0, 0.0, 0.0); THREAD_COUNTS.len()];
+    let mut search_secs = [(0.0, 0.0); THREAD_COUNTS.len()];
     let mut rounds = 0usize;
     let mut reuse_ratio = 0.0f64;
     for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
         let mut inc = Vec::with_capacity(reps);
-        let mut reb = Vec::with_capacity(reps);
         let mut leg = Vec::with_capacity(reps);
         for _ in 0..reps {
-            let (rec_inc, rep_inc) = engine_run(threads, true);
-            let (rec_reb, rep_reb) = engine_run(threads, false);
+            let (rec_inc, rep_inc) = engine_run(threads);
             let (rec_leg, rep_leg) = legacy_run(threads);
-            assert_eq!(rec_inc, rec_reb, "incremental vs rebuild diverged");
             assert_eq!(
                 rec_inc, rec_leg,
                 "incremental vs legacy diverged on {}",
@@ -303,12 +314,11 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
             );
             assert_eq!(rep_inc.rounds, rep_leg.rounds, "round stats diverged");
             inc.push(rep_inc.search_secs);
-            reb.push(rep_reb.search_secs);
             leg.push(rep_leg.search_secs);
             rounds = rep_inc.rounds.len();
             reuse_ratio = rep_inc.reuse_ratio();
         }
-        search_secs[ti] = (median(&mut inc), median(&mut reb), median(&mut leg));
+        search_secs[ti] = (median(&mut inc), median(&mut leg));
     }
 
     DatasetResult {
@@ -330,7 +340,7 @@ fn write_json(results: &[DatasetResult], smoke: bool) -> std::io::Result<std::pa
     body.push_str(&format!("  \"smoke\": {smoke},\n"));
     body.push_str("  \"command\": \"cargo bench -p marioh-bench --bench bench_engine\",\n");
     body.push_str(
-        "  \"note\": \"full multi-round reconstruction; search_secs excludes training and filtering; legacy = faithful pre-engine path (per-round freeze/spawns, per-pass MHH); speedup = legacy/incremental; all three modes asserted bit-identical\",\n",
+        "  \"note\": \"full multi-round reconstruction; search_secs excludes training and filtering; legacy = faithful pre-engine path (per-round freeze/spawns, per-pass MHH); speedup = legacy/incremental; both modes asserted bit-identical\",\n",
     );
     body.push_str("  \"datasets\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -349,20 +359,18 @@ fn write_json(results: &[DatasetResult], smoke: bool) -> std::io::Result<std::pa
         // per-round spawn overhead this PR eliminates. Single-thread
         // detail below (sub-millisecond totals there sit inside
         // scheduler noise).
-        let (inc_hi, _, leg_hi) = r.search_secs[THREAD_COUNTS.len() - 1];
+        let (inc_hi, leg_hi) = r.search_secs[THREAD_COUNTS.len() - 1];
         body.push_str(&format!(
             "      \"speedup\": {:.3},\n",
             leg_hi / inc_hi.max(1e-12)
         ));
         for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
-            let (inc, reb, leg) = r.search_secs[ti];
+            let (inc, leg) = r.search_secs[ti];
             body.push_str(&format!(
-                "      \"threads_{threads}\": {{\"incremental_search_secs\": {}, \"rebuild_search_secs\": {}, \"legacy_search_secs\": {}, \"speedup_vs_legacy\": {:.3}, \"speedup_vs_rebuild\": {:.3}}}{}\n",
+                "      \"threads_{threads}\": {{\"incremental_search_secs\": {}, \"legacy_search_secs\": {}, \"speedup_vs_legacy\": {:.3}}}{}\n",
                 f(inc),
-                f(reb),
                 f(leg),
                 leg / inc.max(1e-12),
-                reb / inc.max(1e-12),
                 if ti + 1 == THREAD_COUNTS.len() { "" } else { "," }
             ));
         }
@@ -395,8 +403,8 @@ fn main() {
     for dataset in datasets {
         let t = Instant::now();
         let r = bench_dataset(dataset, reps);
-        let (inc1, _, leg1) = r.search_secs[0];
-        let (inc4, _, leg4) = r.search_secs[THREAD_COUNTS.len() - 1];
+        let (inc1, leg1) = r.search_secs[0];
+        let (inc4, leg4) = r.search_secs[THREAD_COUNTS.len() - 1];
         println!(
             "bench_engine/{}: {} rounds, reuse {:.1}% | 1t {:.3}s engine vs {:.3}s legacy ({:.2}x) | 4t {:.3}s engine vs {:.3}s legacy ({:.2}x)  [total {:.1}s]",
             r.name,

@@ -98,8 +98,8 @@ fn bench_kernels(dataset: PaperDataset, reps: usize, detected: Level) -> (Vec<Ke
     let view = round.view();
 
     // --- MHH cache build --------------------------------------------
-    let (scalar_secs, scalar_cache) = timed(Level::Scalar, reps, || MhhCache::build(view, 1));
-    let (dispatched_secs, fast_cache) = timed(detected, reps, || MhhCache::build(view, 1));
+    let (scalar_secs, scalar_cache) = timed(Level::Scalar, reps, || MhhCache::build(view, None));
+    let (dispatched_secs, fast_cache) = timed(detected, reps, || MhhCache::build(view, None));
     let mhh = KernelResult {
         name: "mhh_cache_build",
         scalar_secs,

@@ -24,7 +24,7 @@ use marioh_core::{filtering, reference, CancelToken, RoundContext, SearchEngine,
 use marioh_datasets::registry::PaperDataset;
 use marioh_hypergraph::clique::{maximal_cliques, DegeneracyOrdering};
 use marioh_hypergraph::projection::project;
-use marioh_hypergraph::{GraphView, Hypergraph};
+use marioh_hypergraph::{GraphView, Hypergraph, WorkerPool};
 use marioh_ml::TrainConfig;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -70,7 +70,7 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
 
     // Rounds operate on the post-filtering intermediate graph.
     let mut sink = Hypergraph::new(g.num_nodes());
-    let (work, _) = filtering::filtering(&g, &mut sink, 1);
+    let (work, _) = filtering::filtering(&g, &mut sink, None);
 
     // --- Scoring phase: legacy per-clique vs round-frozen batched ---
     let view = GraphView::freeze(&work);
@@ -101,14 +101,17 @@ fn bench_dataset(dataset: PaperDataset, reps: usize) -> DatasetResult {
     );
 
     // --- One full round at each thread count ---
+    // The pool is the run's, created once like `reconstruct_observed`
+    // does, so the samples time the round alone.
     let mut round_ms = [0.0; THREAD_COUNTS.len()];
     for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
+        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let mut samples = Vec::with_capacity(reps);
         for _ in 0..reps {
             let mut rec = Hypergraph::new(work.num_nodes());
             let mut rng = StdRng::seed_from_u64(7);
             let t = Instant::now();
-            let stats = SearchEngine::new(&work, threads)
+            let stats = SearchEngine::new(&work, pool.as_ref())
                 .round(
                     &model,
                     0.5,

@@ -4,7 +4,7 @@
 use super::ExperimentEnv;
 use crate::runner::{build_method, cell_rng};
 use crate::table::Table;
-use marioh_baselines::ReconstructionMethod as _;
+use marioh_baselines::Reconstructor as _;
 use marioh_datasets::split::split_source_target;
 use marioh_datasets::PaperDataset;
 use marioh_hypergraph::metrics::{jaccard, multi_jaccard};

@@ -5,7 +5,7 @@ use super::{ExperimentEnv, Setting};
 use crate::plot::{write_svg, LinePlot, Series};
 use crate::runner::cell_rng;
 use crate::table::Table;
-use marioh_baselines::ReconstructionMethod;
+use marioh_baselines::Reconstructor;
 use marioh_core::{MariohConfig, Pipeline, Variant};
 use marioh_datasets::split::split_source_target;
 use marioh_datasets::PaperDataset;

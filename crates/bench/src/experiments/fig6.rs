@@ -6,7 +6,7 @@ use crate::plot::{write_svg, BarChart};
 use crate::runner::cell_rng;
 use crate::table::Table;
 use marioh_baselines::shyre::{ShyreFlavor, ShyreSupervised};
-use marioh_baselines::ReconstructionMethod;
+use marioh_baselines::Reconstructor;
 use marioh_core::{Marioh, MariohConfig, TrainingConfig};
 use marioh_datasets::split::split_source_target;
 use marioh_datasets::PaperDataset;

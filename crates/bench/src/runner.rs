@@ -2,9 +2,7 @@
 //! per-(dataset, seed) RNG derivation, and mean ± std aggregation.
 
 use marioh_baselines::shyre::{ShyreFlavor, ShyreSupervised, ShyreUnsup};
-use marioh_baselines::{
-    BayesianMdl, CFinder, CliqueCovering, Demon, MaxClique, ReconstructionMethod,
-};
+use marioh_baselines::{BayesianMdl, CFinder, CliqueCovering, Demon, MaxClique, Reconstructor};
 use marioh_core::{CancelToken, Pipeline, Variant};
 use marioh_hypergraph::{Hypergraph, ProjectedGraph};
 use rand::{rngs::StdRng, SeedableRng};
@@ -71,25 +69,25 @@ pub const TABLE3_METHODS: [&str; 6] = [
     "MARIOH",
 ];
 
-/// A harness-ready method: the boxed [`ReconstructionMethod`] plus the
+/// A harness-ready method: the boxed [`Reconstructor`] plus the
 /// [`CancelToken`] its pipeline polls, so [`run_budgeted`] can stop an
 /// abandoned worker on timeout instead of leaking a CPU-bound thread.
 /// Baselines never poll the token (they are fast and infallible), but
 /// MARIOH rounds stop at the next boundary after it fires.
 pub struct BuiltMethod {
-    method: Box<dyn ReconstructionMethod + Send>,
+    method: Box<dyn Reconstructor + Send>,
     cancel: CancelToken,
 }
 
 impl BuiltMethod {
     /// Pairs a method with the token its internals poll.
-    pub fn new(method: Box<dyn ReconstructionMethod + Send>, cancel: CancelToken) -> Self {
+    pub fn new(method: Box<dyn Reconstructor + Send>, cancel: CancelToken) -> Self {
         BuiltMethod { method, cancel }
     }
 
     /// Wraps a method with no cancellation support (the token is fresh
     /// and nothing polls it; timeouts fall back to thread abandonment).
-    pub fn untracked(method: Box<dyn ReconstructionMethod + Send>) -> Self {
+    pub fn untracked(method: Box<dyn Reconstructor + Send>) -> Self {
         BuiltMethod::new(method, CancelToken::new())
     }
 
@@ -99,7 +97,7 @@ impl BuiltMethod {
     }
 }
 
-impl ReconstructionMethod for BuiltMethod {
+impl Reconstructor for BuiltMethod {
     fn name(&self) -> &str {
         self.method.name()
     }
@@ -129,7 +127,7 @@ pub fn build_method(name: &str, source: &Hypergraph, rng: &mut StdRng) -> Option
             .train(source, rng)
             .expect("harness sources are non-empty")
     };
-    let method: Box<dyn ReconstructionMethod + Send> = match name {
+    let method: Box<dyn Reconstructor + Send> = match name {
         "CFinder" => Box::new(CFinder::select_k(source, rng)),
         "Demon" => Box::new(Demon::default()),
         "MaxClique" => Box::new(MaxClique),
@@ -264,7 +262,7 @@ mod tests {
     #[test]
     fn budgeted_run_times_out() {
         struct Sleeper;
-        impl ReconstructionMethod for Sleeper {
+        impl Reconstructor for Sleeper {
             fn name(&self) -> &str {
                 "Sleeper"
             }
@@ -293,7 +291,7 @@ mod tests {
     #[test]
     fn budgeted_run_reports_method_errors() {
         struct Cancelled;
-        impl ReconstructionMethod for Cancelled {
+        impl Reconstructor for Cancelled {
             fn name(&self) -> &str {
                 "Cancelled"
             }
@@ -328,7 +326,7 @@ mod tests {
             cancel: CancelToken,
             exited: Arc<AtomicBool>,
         }
-        impl ReconstructionMethod for Spinner {
+        impl Reconstructor for Spinner {
             fn name(&self) -> &str {
                 "Spinner"
             }

@@ -30,13 +30,16 @@
 //! Because every carried quantity is an exact integer (clique lists,
 //! MHH, weights, degrees) and every score is recomputed by a pure
 //! function on bit-identical inputs, the engine is **bit-identical** to
-//! the rebuild-every-round path — same cliques, same scores, same commit
-//! order, same Phase-2 RNG consumption — for every seed, thread count and
-//! variant. A parity suite (`tests/engine_parity.rs`) enforces this.
+//! a fresh engine per round frozen from the previous round's residual —
+//! same cliques, same scores, same commit order, same Phase-2 RNG
+//! consumption — for every seed, pool size and variant. A parity suite
+//! (`tests/engine_parity.rs`) enforces this against that oracle.
 //!
-//! Thread fan-out goes through one persistent [`WorkerPool`] created
-//! lazily per engine (so per run), replacing the per-round thread spawns
-//! that made small rounds slower at 2/4 threads than at 1.
+//! Every fan-out (MHH build, enumeration, scoring) goes through the
+//! run's one [`WorkerPool`], which the caller creates and lends to the
+//! engine, replacing the per-round thread spawns that made small rounds
+//! slower at 2/4 threads than at 1. Each stage still runs serially
+//! below its fan-out floor.
 
 use crate::error::MariohError;
 use crate::mhh::MhhCache;
@@ -50,7 +53,6 @@ use marioh_hypergraph::clique::{
 };
 use marioh_hypergraph::{GraphView, Hyperedge, Hypergraph, NodeId, ProjectedGraph, WorkerPool};
 use rand::Rng;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Below this many edges, Bron–Kerbosch over the whole graph is cheaper
@@ -63,7 +65,7 @@ const ENUM_PARALLEL_MIN_EDGES: usize = 8192;
 /// Edge count alone misjudges *dense* graphs — Bron–Kerbosch cost grows
 /// with density, not edge count, so a small-but-dense graph (average
 /// degree ≥ 32) still fans out even under the edge floor.
-fn enumeration_parallel_worthwhile(view: &GraphView) -> bool {
+pub fn enumeration_parallel_worthwhile(view: &GraphView) -> bool {
     let e = view.num_edges();
     e >= ENUM_PARALLEL_MIN_EDGES || e >= 16 * view.num_nodes() as usize
 }
@@ -117,14 +119,11 @@ impl FlagSet {
 /// each round may use a different scorer.
 ///
 /// [`crate::reconstruct::reconstruct_observed`] keeps one engine for the
-/// whole outer loop.
-pub struct SearchEngine {
-    threads: usize,
-    incremental: bool,
-    /// Pin pool workers to cores when the pool is first created.
-    pin_cores: bool,
-    /// Created on first parallel-eligible stage; persists for the run.
-    pool: OnceLock<WorkerPool>,
+/// whole outer loop and lends it the run's worker pool.
+pub struct SearchEngine<'p> {
+    /// The run's pool; `None` (or a one-thread pool) keeps every stage
+    /// serial.
+    pool: Option<&'p WorkerPool>,
     /// The residual graph: frozen once, decremented by every commit.
     view: GraphView,
     /// Cached degeneracy ordering. Any permutation keeps enumeration
@@ -137,7 +136,7 @@ pub struct SearchEngine {
     /// scorer first requests MHH (then kept for the rest of the run).
     mhh: Option<MhhCache>,
     /// The previous round's maximal cliques (sorted); `None` before the
-    /// first round and always in rebuild mode.
+    /// first round.
     prev_cliques: Option<Vec<Vec<NodeId>>>,
     /// `De`: endpoints of removed edges since the last snapshot.
     removed: FlagSet,
@@ -146,31 +145,15 @@ pub struct SearchEngine {
     mhh_stale: FlagSet,
 }
 
-impl SearchEngine {
-    /// A fresh incremental engine over `g`, fanning out over up to
-    /// `threads` threads (1 = fully serial; results are identical either
-    /// way).
-    pub fn new(g: &ProjectedGraph, threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(g, threads, true)
-    }
-
-    /// An engine that re-enumerates every round's cliques and rebuilds
-    /// its MHH memo and ordering from the residual view —
-    /// the parity reference for the incremental path. Still uses the
-    /// persistent worker pool.
-    pub fn full_rebuild(g: &ProjectedGraph, threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(g, threads, false)
-    }
-
-    fn with_mode(g: &ProjectedGraph, threads: usize, incremental: bool) -> SearchEngine {
+impl<'p> SearchEngine<'p> {
+    /// A fresh engine over `g` that fans its stages out over `pool`
+    /// (`None` = fully serial; results are identical either way).
+    pub fn new(g: &ProjectedGraph, pool: Option<&'p WorkerPool>) -> SearchEngine<'p> {
         let view = GraphView::freeze(g);
         let ordering = DegeneracyOrdering::of(&view);
         let n = g.num_nodes() as usize;
         SearchEngine {
-            threads: threads.max(1),
-            incremental,
-            pin_cores: false,
-            pool: OnceLock::new(),
+            pool,
             edges_at_order: view.num_edges(),
             view,
             ordering,
@@ -187,27 +170,10 @@ impl SearchEngine {
         &self.view
     }
 
-    /// The engine's thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Requests CPU pinning for the worker pool (effective only before
-    /// the pool's lazy creation, i.e. before the first round). A
-    /// scheduling hint: results are bit-identical either way.
-    pub fn set_pin_cores(&mut self, pin: bool) {
-        self.pin_cores = pin;
-    }
-
-    fn pool(&self) -> &WorkerPool {
-        self.pool
-            .get_or_init(|| WorkerPool::with_affinity(self.threads, self.pin_cores))
-    }
-
     /// Runs one bidirectional-search round (Algorithm 3) against the
     /// residual graph, committing into `reconstruction`. Semantics,
-    /// statistics, commit order and RNG consumption are identical to the
-    /// historical rebuild-every-round implementation.
+    /// statistics, commit order and RNG consumption are identical to a
+    /// fresh engine's first round over the same residual.
     ///
     /// # Errors
     ///
@@ -231,18 +197,10 @@ impl SearchEngine {
         }
         let t0 = Instant::now();
         let mut stats = SearchStats::default();
-
-        if !self.incremental {
-            // Rebuild everything derived from the residual: the memo is
-            // re-built lazily by the first scoring pass.
-            self.reorder();
-            self.mhh = None;
-            self.mhh_stale.clear();
-        }
         let cliques = self.cliques(&mut stats);
         stats.cliques_enumerated = cliques.len();
         if cliques.is_empty() {
-            self.store_prev(cliques);
+            self.prev_cliques = Some(cliques);
             stats.round_ms = elapsed_ms(t0);
             return Ok(stats);
         }
@@ -278,7 +236,7 @@ impl SearchEngine {
         }
 
         if !phase2 {
-            self.store_prev(cliques);
+            self.prev_cliques = Some(cliques);
             stats.round_ms = elapsed_ms(t0);
             return Ok(stats);
         }
@@ -333,7 +291,7 @@ impl SearchEngine {
                 }
             }
         }
-        self.store_prev(cliques);
+        self.prev_cliques = Some(cliques);
         stats.round_ms = elapsed_ms(t0);
         Ok(stats)
     }
@@ -344,22 +302,18 @@ impl SearchEngine {
     /// perf/amortisation trade-off (and deterministic).
     fn refresh_order(&mut self) {
         if self.view.num_edges() * 4 < self.edges_at_order * 3 {
-            self.reorder();
+            self.ordering = DegeneracyOrdering::of(&self.view);
+            self.edges_at_order = self.view.num_edges();
         }
-    }
-
-    /// Recomputes the degeneracy ordering of the residual.
-    fn reorder(&mut self) {
-        self.ordering = DegeneracyOrdering::of(&self.view);
-        self.edges_at_order = self.view.num_edges();
     }
 
     /// Enumerates every maximal clique of the residual, fanning out over
     /// the pool when the graph is large enough to amortise it.
     fn enumerate_all(&self) -> Vec<Vec<NodeId>> {
         let _span = marioh_obs::Span::enter("enumeration");
-        let pool =
-            (self.threads > 1 && enumeration_parallel_worthwhile(&self.view)).then(|| self.pool());
+        let pool = self
+            .pool
+            .filter(|_| enumeration_parallel_worthwhile(&self.view));
         maximal_cliques(&self.view, &self.ordering, pool)
     }
 
@@ -394,8 +348,9 @@ impl SearchEngine {
             // full enumeration's order exactly.
             let new_cliques = {
                 let _span = marioh_obs::Span::enter("enumeration");
-                let pool = (self.threads > 1 && removed_incident >= ENUM_PARALLEL_MIN_EDGES)
-                    .then(|| self.pool());
+                let pool = self
+                    .pool
+                    .filter(|_| removed_incident >= ENUM_PARALLEL_MIN_EDGES);
                 maximal_cliques_region(&self.view, &self.ordering, &self.removed.flag, pool)
             };
             let mut cliques = Vec::with_capacity(prev_cliques.len() + new_cliques.len());
@@ -426,21 +381,16 @@ impl SearchEngine {
     fn score_pass(&mut self, scorer: &dyn CliqueScorer, cliques: &[Vec<NodeId>]) -> Vec<f64> {
         let _span = marioh_obs::Span::enter("scoring");
         self.sync_mhh();
-        let parallel = self.threads > 1 && score_work(cliques) >= SCORE_PARALLEL_MIN_WORK;
-        if parallel {
-            // Make sure the pool exists before the context borrows it.
-            self.pool();
-        }
-        let mut ctx = RoundContext::with_frozen(&self.view, self.mhh.as_ref(), self.threads);
-        // Lazy MHH builds ride the persistent pool when one exists (it
-        // is created lazily by the first parallel-eligible stage — small
-        // runs that never fan out keep spawning nothing at all). If the
-        // build triggers from *inside* a parallel scoring job, the
-        // pool's re-entrancy guard runs it inline on that worker.
-        if let Some(pool) = self.pool.get() {
+        let mut ctx = RoundContext::with_frozen(&self.view, self.mhh.as_ref());
+        // A lazy MHH build rides the run's pool. If it triggers from
+        // *inside* a parallel scoring job, the pool's re-entrancy guard
+        // runs it inline on that participant.
+        if let Some(pool) = self.pool {
             ctx = ctx.with_pool(pool);
         }
-        let pool = if parallel { self.pool.get() } else { None };
+        let pool = self
+            .pool
+            .filter(|_| score_work(cliques) >= SCORE_PARALLEL_MIN_WORK);
         let scores = score_cliques(scorer, &ctx, cliques, pool);
         if let Some(built) = ctx.take_mhh() {
             self.mhh = Some(built);
@@ -485,12 +435,6 @@ impl SearchEngine {
         }
         true
     }
-
-    fn store_prev(&mut self, cliques: Vec<Vec<NodeId>>) {
-        if self.incremental {
-            self.prev_cliques = Some(cliques);
-        }
-    }
 }
 
 fn elapsed_ms(t0: Instant) -> f64 {
@@ -500,132 +444,18 @@ fn elapsed_ms(t0: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FnScorer;
-    use marioh_hypergraph::projection::project;
     use rand::{rngs::StdRng, SeedableRng};
-
-    fn random_graph(rng: &mut StdRng, n: u32, p: f64) -> ProjectedGraph {
-        let mut g = ProjectedGraph::new(n);
-        for u in 0..n {
-            for v in u + 1..n {
-                if rng.gen_bool(p) {
-                    g.add_edge_weight(NodeId(u), NodeId(v), rng.gen_range(1..4));
-                }
-            }
-        }
-        g
-    }
-
-    /// A hash-map copy of a residual view, to seed a fresh engine.
-    fn thaw(view: &GraphView) -> ProjectedGraph {
-        let mut g = ProjectedGraph::new(view.num_nodes());
-        for (u, v, w) in view.edges() {
-            g.add_edge_weight(u, v, w);
-        }
-        g
-    }
-
-    /// A pair-weight scorer: every round rescores its whole clique list,
-    /// which must still match the one-shot path bit for bit.
-    fn weight_scorer() -> impl CliqueScorer {
-        FnScorer(|g: &GraphView, c: &[NodeId]| {
-            let w: u32 = c
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &u)| c[i + 1..].iter().map(move |&v| g.weight(u, v)))
-                .sum();
-            f64::from(w) / (1.0 + f64::from(w))
-        })
-    }
 
     fn round(
         engine: &mut SearchEngine,
         scorer: &dyn CliqueScorer,
         theta: f64,
-        neg_ratio: f64,
         rec: &mut Hypergraph,
-        phase2: bool,
         rng: &mut StdRng,
     ) -> SearchStats {
         engine
-            .round(
-                scorer,
-                theta,
-                neg_ratio,
-                rec,
-                phase2,
-                &CancelToken::new(),
-                rng,
-            )
+            .round(scorer, theta, 0.0, rec, false, &CancelToken::new(), rng)
             .expect("not cancelled")
-    }
-
-    #[test]
-    fn multi_round_engine_matches_fresh_single_rounds() {
-        let scorer = weight_scorer();
-        let mut seed_rng = StdRng::seed_from_u64(505);
-        for case in 0..6 {
-            let n = seed_rng.gen_range(8..30u32);
-            let proto = random_graph(&mut seed_rng, n, 0.35);
-            for threads in [1, 4] {
-                // Engine run: one engine across all rounds.
-                let mut rec_engine = Hypergraph::new(n);
-                let mut rng_engine = StdRng::seed_from_u64(9 + case);
-                let mut engine = SearchEngine::new(&proto, threads);
-                // Reference run: a fresh engine for every round, frozen
-                // from the previous round's residual.
-                let mut g_ref = proto.clone();
-                let mut rec_ref = Hypergraph::new(n);
-                let mut rng_ref = StdRng::seed_from_u64(9 + case);
-                let mut theta = 0.9;
-                for round_no in 0..12 {
-                    if g_ref.is_edgeless() {
-                        break;
-                    }
-                    let stats_e = round(
-                        &mut engine,
-                        &scorer,
-                        theta,
-                        40.0,
-                        &mut rec_engine,
-                        true,
-                        &mut rng_engine,
-                    );
-                    let mut fresh = SearchEngine::new(&g_ref, threads);
-                    let stats_r = round(
-                        &mut fresh,
-                        &scorer,
-                        theta,
-                        40.0,
-                        &mut rec_ref,
-                        true,
-                        &mut rng_ref,
-                    );
-                    g_ref = thaw(fresh.residual());
-                    assert_eq!(stats_e, stats_r, "round {round_no} threads {threads}");
-                    assert_eq!(
-                        engine.residual().edges().collect::<Vec<_>>(),
-                        g_ref.sorted_edge_list(),
-                        "residual diverged at round {round_no}"
-                    );
-                    assert_eq!(rec_engine, rec_ref, "reconstruction diverged at {round_no}");
-                    // Conservation: every pair's residual weight plus its
-                    // weight in the reconstruction's projection is the
-                    // input weight.
-                    let committed = project(&rec_engine);
-                    for u in (0..n).map(NodeId) {
-                        for v in (u.0 + 1..n).map(NodeId) {
-                            assert_eq!(
-                                engine.residual().weight(u, v) + committed.weight(u, v),
-                                proto.weight(u, v),
-                                "pair ({u}, {v}) not conserved at round {round_no}"
-                            );
-                        }
-                    }
-                    theta = (theta - 0.09f64).max(0.0);
-                }
-            }
-        }
     }
 
     #[test]
@@ -646,77 +476,18 @@ mod tests {
         }
         let mut rec = Hypergraph::new(6);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut engine = SearchEngine::new(&g, 1);
-        let s1 = round(
-            &mut engine,
-            &LocalScorer,
-            0.5,
-            0.0,
-            &mut rec,
-            false,
-            &mut rng,
-        );
+        let mut engine = SearchEngine::new(&g, None);
+        let s1 = round(&mut engine, &LocalScorer, 0.5, &mut rec, &mut rng);
         assert_eq!(s1.committed_phase1, 1);
         assert_eq!(s1.cliques_rescored, 2, "first round scores everything");
         assert_eq!(s1.cliques_reused, 0);
         // Round 2: {0,1,2} was removed entirely; {3,4,5} is disjoint from
         // the removed set, so its clique is carried (and rescored).
-        let s2 = round(
-            &mut engine,
-            &LocalScorer,
-            0.3,
-            0.0,
-            &mut rec,
-            false,
-            &mut rng,
-        );
+        let s2 = round(&mut engine, &LocalScorer, 0.3, &mut rec, &mut rng);
         assert_eq!(s2.cliques_enumerated, 1);
         assert_eq!(s2.cliques_reused, 1);
         assert_eq!(s2.cliques_rescored, 1);
         assert_eq!(s2.committed_phase1, 1);
         assert_eq!(engine.residual().num_edges(), 0);
-    }
-
-    #[test]
-    fn full_rebuild_engine_matches_incremental() {
-        let scorer = weight_scorer();
-        let mut seed_rng = StdRng::seed_from_u64(808);
-        for case in 0..4 {
-            let n = seed_rng.gen_range(10..25u32);
-            let proto = random_graph(&mut seed_rng, n, 0.4);
-            let run = |mut engine: SearchEngine| {
-                let mut rec = Hypergraph::new(n);
-                let mut rng = StdRng::seed_from_u64(77 + case);
-                let mut theta = 0.8;
-                let mut all = Vec::new();
-                for _ in 0..10 {
-                    if engine.residual().num_edges() == 0 {
-                        break;
-                    }
-                    all.push(round(
-                        &mut engine,
-                        &scorer,
-                        theta,
-                        30.0,
-                        &mut rec,
-                        true,
-                        &mut rng,
-                    ));
-                    theta = (theta - 0.2f64).max(0.0);
-                }
-                (engine.residual().edges().collect::<Vec<_>>(), rec, all)
-            };
-            let (g_inc, rec_inc, stats_inc) = run(SearchEngine::new(&proto, 2));
-            let (g_full, rec_full, stats_full) = run(SearchEngine::full_rebuild(&proto, 2));
-            assert_eq!(g_inc, g_full);
-            assert_eq!(rec_inc, rec_full);
-            assert_eq!(stats_inc, stats_full, "algorithmic stats must agree");
-            // The rebuild engine reuses nothing, by definition, and both
-            // engines score every listed clique.
-            assert!(stats_full.iter().all(|s| s.cliques_reused == 0));
-            for s in stats_inc.iter().chain(&stats_full) {
-                assert_eq!(s.cliques_rescored, s.cliques_enumerated);
-            }
-        }
     }
 }

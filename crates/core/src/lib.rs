@@ -97,8 +97,13 @@
 //! edges — every maximal clique that appears or dies contains one, so
 //! the rest of the previous round's list is carried over unchanged.
 //! Every round then scores its whole clique list. The engine-parity
-//! suite proves the incremental and rebuild-every-round paths identical
-//! for every seed, thread count and variant.
+//! suite proves the engine identical to a fresh engine per round, for
+//! every seed, thread count and variant.
+//!
+//! A run with `threads > 1` creates one
+//! [`marioh_hypergraph::WorkerPool`] at its start and lends it to
+//! filtering and the engine; every fan-out (MHH build, enumeration,
+//! scoring) takes that pool.
 
 #![warn(missing_docs)]
 

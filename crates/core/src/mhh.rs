@@ -17,7 +17,12 @@
 //! against is [`crate::reference::mhh`].
 
 use marioh_hypergraph::{GraphView, NodeId, WorkerPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Below this many adjacency slots a serial [`MhhCache::build`] beats
+/// fanning out over a pool.
+pub const MHH_PARALLEL_MIN_SLOTS: usize = 4096;
 
 /// `MHH(u, v)` against a round-frozen [`GraphView`], by the
 /// dispatched sorted-merge kernel ([`marioh_kernels::intersect_min_sum`])
@@ -35,7 +40,7 @@ pub fn mhh_view(view: &GraphView, u: NodeId, v: NodeId) -> u64 {
 /// Per-round MHH memo: one `u64` per directed adjacency slot of a
 /// [`GraphView`], filled for the canonical direction `u < v`.
 ///
-/// Built once per scoring pass (optionally in parallel), so every edge's
+/// Built once per scoring pass (optionally on a worker pool), so every edge's
 /// MHH is computed exactly once per round no matter how many overlapping
 /// cliques contain it. Lookups are a binary search in the smaller
 /// endpoint's slice ([`GraphView::slot`]) — or free when the caller
@@ -46,72 +51,32 @@ pub struct MhhCache {
 }
 
 impl MhhCache {
-    /// Computes the MHH of every edge of `view` on up to `threads`
-    /// workers. Work is partitioned into contiguous node ranges balanced
-    /// by adjacency-slot count; each worker writes only its own slice, so
-    /// results are identical for any thread count.
+    /// Computes the MHH of every edge of `view`, fanned out over `pool`
+    /// when it has more than one thread and the view has at least
+    /// [`MHH_PARALLEL_MIN_SLOTS`] slots. Work is partitioned into
+    /// contiguous node ranges balanced by adjacency-slot count; each
+    /// participant writes only its own slice, so results are identical
+    /// for any pool size.
     ///
     /// The cache is sized to the view's full slot *capacity*
     /// ([`GraphView::num_slots`]), so it stays index-compatible with a
     /// view whose rows have been compacted by
     /// [`GraphView::decrement_entry`] — hole slots are simply never
     /// written or read.
-    pub fn build(view: &GraphView, threads: usize) -> MhhCache {
+    pub fn build(view: &GraphView, pool: Option<&WorkerPool>) -> MhhCache {
         let n = view.num_nodes() as usize;
         let slots = view.num_slots();
         let mut vals = vec![0u64; slots];
-
-        // Fills canonical (u < v) slots for nodes in [lo, hi); `base` is
-        // the global slot index where this chunk starts.
-        let fill = |lo: usize, hi: usize, chunk: &mut [u64], base: usize| {
-            for u in lo..hi {
-                let id = NodeId(u as u32);
-                let start = view.row_start(id);
-                for (i, &v) in view.neighbors(id).iter().enumerate() {
-                    if v > u as u32 {
-                        chunk[start + i - base] = mhh_view(view, id, NodeId(v));
-                    }
-                }
+        let workers = pool.map_or(1, |p| p.threads().min(n.max(1)));
+        let pool = match pool {
+            Some(pool) if workers > 1 && slots >= MHH_PARALLEL_MIN_SLOTS => pool,
+            _ => {
+                fill_rows(view, 0, n, &mut vals, 0);
+                return MhhCache { vals };
             }
         };
-
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || slots < 4096 {
-            fill(0, n, &mut vals, 0);
-            return MhhCache { vals };
-        }
-
-        let (bounds, slot_bounds) = partition_by_capacity(view, threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u64] = &mut vals;
-            let mut consumed = 0usize;
-            for w in 0..bounds.len() - 1 {
-                let (lo, hi) = (bounds[w], bounds[w + 1]);
-                let (base, end) = (slot_bounds[w], slot_bounds[w + 1]);
-                let (chunk, tail) = rest.split_at_mut(end - consumed);
-                rest = tail;
-                consumed = end;
-                let fill = &fill;
-                scope.spawn(move || fill(lo, hi, chunk, base));
-            }
-        });
-        MhhCache { vals }
-    }
-
-    /// [`MhhCache::build`] fanned out over a caller-owned persistent
-    /// [`WorkerPool`] — the cross-round engine's path, which avoids the
-    /// per-build thread spawns of the scoped variant. Identical values
-    /// for any pool size.
-    pub fn build_pool(view: &GraphView, pool: &WorkerPool) -> MhhCache {
-        let n = view.num_nodes() as usize;
-        let slots = view.num_slots();
-        let workers = pool.threads().min(n.max(1));
-        if workers <= 1 || slots < 4096 {
-            return MhhCache::build(view, 1);
-        }
-        let mut vals = vec![0u64; slots];
         let (bounds, slot_bounds) = partition_by_capacity(view, workers);
-        /// One worker's unit: node range `lo..hi`, its chunk's first
+        /// One participant's unit: node range `lo..hi`, its chunk's first
         /// global slot, and the disjoint output slice.
         type Chunk<'a> = (usize, usize, usize, &'a mut [u64]);
         {
@@ -127,27 +92,19 @@ impl MhhCache {
                 consumed = end;
                 chunks.push((bounds[w], bounds[w + 1], base, chunk));
             }
+            let num_chunks = chunks.len();
             let slots_tbl: Mutex<Vec<Option<Chunk<'_>>>> =
                 Mutex::new(chunks.into_iter().map(Some).collect());
-            let num_chunks = bounds.len() - 1;
-            let next = std::sync::atomic::AtomicUsize::new(0);
+            let next = AtomicUsize::new(0);
             pool.run(&|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= num_chunks {
                     break;
                 }
                 let (lo, hi, base, chunk) = slots_tbl.lock().expect("mhh chunk table poisoned")[i]
                     .take()
                     .expect("each chunk claimed once");
-                for u in lo..hi {
-                    let id = NodeId(u as u32);
-                    let start = view.row_start(id);
-                    for (j, &v) in view.neighbors(id).iter().enumerate() {
-                        if v > u as u32 {
-                            chunk[start + j - base] = mhh_view(view, id, NodeId(v));
-                        }
-                    }
-                }
+                fill_rows(view, lo, hi, chunk, base);
             });
         }
         MhhCache { vals }
@@ -196,6 +153,20 @@ impl MhhCache {
     }
 }
 
+/// Fills the canonical (`u < v`) slots of nodes `lo..hi` into `chunk`,
+/// whose first element is global slot `base`.
+fn fill_rows(view: &GraphView, lo: usize, hi: usize, chunk: &mut [u64], base: usize) {
+    for u in lo..hi {
+        let id = NodeId(u as u32);
+        let start = view.row_start(id);
+        for (i, &v) in view.neighbors(id).iter().enumerate() {
+            if v > u as u32 {
+                chunk[start + i - base] = mhh_view(view, id, NodeId(v));
+            }
+        }
+    }
+}
+
 /// Cuts node space where the cumulative slot-capacity count crosses each
 /// worker's share. Returns `(node_bounds, capacity_bounds)`, both with a
 /// leading 0 and trailing end sentinel.
@@ -241,7 +212,7 @@ mod tests {
     /// residual `ω − MHH` of Lemma 2.
     fn extracted(g: &ProjectedGraph, u: NodeId, v: NodeId) -> u32 {
         let mut rec = Hypergraph::new(0);
-        crate::filtering::filtering(g, &mut rec, 1);
+        crate::filtering::filtering(g, &mut rec, None);
         rec.multiplicity(&edge(&[u.0, v.0]))
     }
 
@@ -298,7 +269,7 @@ mod tests {
             let g = project(&h);
             let view = GraphView::freeze(&g);
             let mut rec = Hypergraph::new(0);
-            crate::filtering::filtering(&g, &mut rec, 1);
+            crate::filtering::filtering(&g, &mut rec, None);
             for (u, v, _w) in g.sorted_edge_list() {
                 // Count true higher-order hyperedges containing both.
                 let true_hh: u64 = h
@@ -342,8 +313,8 @@ mod tests {
             }
             let g = project(&h);
             let view = marioh_hypergraph::GraphView::freeze(&g);
-            let threads = 1 + round % 4;
-            let cache = MhhCache::build(&view, threads);
+            let pool = WorkerPool::new(1 + round % 4);
+            let cache = MhhCache::build(&view, Some(&pool));
             for (u, v, _) in g.sorted_edge_list() {
                 let reference = mhh(&g, u, v);
                 assert_eq!(mhh_view(&view, u, v), reference);
@@ -358,10 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_build_matches_scoped_build_above_the_parallel_floor() {
+    fn pool_build_matches_serial_build_above_the_parallel_floor() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Dense enough that num_slots ≥ 4096, so both variants actually
-        // fan out.
+        // Dense enough that the pooled build actually fans out.
         let mut rng = StdRng::seed_from_u64(99);
         let n_nodes = 80u32;
         let mut g = ProjectedGraph::new(n_nodes);
@@ -373,13 +343,16 @@ mod tests {
             }
         }
         let view = marioh_hypergraph::GraphView::freeze(&g);
-        assert!(view.num_slots() >= 4096, "test graph too small to fan out");
-        let scoped = MhhCache::build(&view, 4);
+        assert!(
+            view.num_slots() >= MHH_PARALLEL_MIN_SLOTS,
+            "test graph too small to fan out"
+        );
+        let serial = MhhCache::build(&view, None);
         let pool = WorkerPool::new(4);
-        let pooled = MhhCache::build_pool(&view, &pool);
+        let pooled = MhhCache::build(&view, Some(&pool));
         for (u, v, _) in g.sorted_edge_list() {
             let slot = view.slot(u, v).unwrap();
-            assert_eq!(pooled.at(slot), scoped.at(slot));
+            assert_eq!(pooled.at(slot), serial.at(slot));
             assert_eq!(pooled.at(slot), mhh(&g, u, v));
         }
     }
@@ -399,7 +372,7 @@ mod tests {
                 }
             }
             let mut view = marioh_hypergraph::GraphView::freeze(&g);
-            let mut cache = MhhCache::build(&view, 1);
+            let mut cache = MhhCache::build(&view, None);
             // A batch of decrements touching a few vertices, mirrored
             // into graph and view; then patch only the touched rows.
             let mut dirty_flag = vec![false; n_nodes as usize];
@@ -421,7 +394,7 @@ mod tests {
                 }
             }
             cache.patch(&view, &dirty, &dirty_flag);
-            let rebuilt = MhhCache::build(&view, 1);
+            let rebuilt = MhhCache::build(&view, None);
             for (u, v, _) in g.sorted_edge_list() {
                 let slot = view.slot(u, v).unwrap();
                 assert_eq!(cache.at(slot), rebuilt.at(slot));

@@ -13,8 +13,8 @@
 //! [`score_cliques`] is the one scoring entry: it fans out only when
 //! handed a [`WorkerPool`] with more than one thread. Whether a batch is
 //! worth fanning out is the caller's call — the cross-round engine
-//! keeps one pool alive for the whole run and sends only batches whose
-//! total work reaches [`SCORE_PARALLEL_MIN_WORK`] to it: on the small
+//! borrows the run's one pool and sends only batches whose total work
+//! reaches [`SCORE_PARALLEL_MIN_WORK`] to it: on the small
 //! Table-1 datasets the dispatch overhead measurably exceeded the
 //! scoring itself. Results are identical either way.
 
@@ -35,10 +35,10 @@ pub const SCORE_PARALLEL_MIN_WORK: usize = 32 * 1024;
 /// batched scorer amortises its per-block buffers.
 const STEAL_BLOCK: usize = 32;
 
-/// The adaptive-fallback work estimate: pairs dominate feature
-/// extraction (per-pair weight/MHH/embeddedness lookups), the linear
-/// term covers per-clique overhead.
-pub(crate) fn score_work(cliques: &[Vec<NodeId>]) -> usize {
+/// The work estimate [`SCORE_PARALLEL_MIN_WORK`] is measured in: pairs
+/// dominate feature extraction (per-pair weight/MHH/embeddedness
+/// lookups), the linear term covers per-clique overhead.
+pub fn score_work(cliques: &[Vec<NodeId>]) -> usize {
     cliques
         .iter()
         .map(|c| c.len() * (c.len() - 1) / 2 + c.len())
@@ -124,7 +124,7 @@ mod tests {
         for threads in [2, 4, 16] {
             // The entry has no work gate, so it genuinely fans out.
             let pool = WorkerPool::new(threads);
-            let threaded = RoundContext::with_threads(&g, threads);
+            let threaded = RoundContext::new(&g).with_pool(&pool);
             assert_eq!(
                 score_cliques(&scorer, &threaded, &cliques, Some(&pool)),
                 serial
@@ -155,7 +155,7 @@ mod tests {
         let serial = score_cliques(&scorer, &round, &cliques, None);
         for threads in [2, 3, 8] {
             let pool = WorkerPool::new(threads);
-            let threaded = RoundContext::with_threads(&g, threads);
+            let threaded = RoundContext::new(&g).with_pool(&pool);
             assert_eq!(
                 score_cliques(&scorer, &threaded, &cliques, Some(&pool)),
                 serial
@@ -172,8 +172,8 @@ mod tests {
         let g = ring_graph(5);
         let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| c.len() as f64);
         let cliques = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(1), NodeId(2)]];
-        let round = RoundContext::with_threads(&g, 8);
         let pool = WorkerPool::new(8);
+        let round = RoundContext::new(&g).with_pool(&pool);
         assert_eq!(
             score_cliques(&scorer, &round, &cliques, Some(&pool)),
             vec![2.0, 2.0]

@@ -289,15 +289,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Toggles the cross-round incremental search engine (always valid;
-    /// on by default). Results are bit-identical either way — `false`
-    /// forces the rebuild-every-round path, for benchmarking and
-    /// verification.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.config.incremental = on;
-        self
-    }
-
     /// Fraction of source hyperedges used as supervision
     /// (valid: `(0, 1]`; Table VI's semi-supervised setting).
     pub fn supervision_fraction(mut self, fraction: f64) -> Self {

@@ -8,7 +8,7 @@ use crate::pipeline::Reconstructor;
 use crate::progress::{CancelToken, NoopObserver, ProgressObserver};
 use crate::search::SearchStats;
 use crate::training::{train_classifier, TrainingConfig};
-use marioh_hypergraph::{Hypergraph, ProjectedGraph};
+use marioh_hypergraph::{Hypergraph, ProjectedGraph, WorkerPool};
 use rand::{Rng, RngCore};
 use std::sync::Arc;
 
@@ -32,23 +32,17 @@ pub struct MariohConfig {
     /// once `θ` reaches 0 (sigmoid scores are strictly positive), so this
     /// only guards against a pathological scorer.
     pub max_iterations: usize,
-    /// Worker threads for clique enumeration and scoring inside each
-    /// search round (1 = serial). Results are identical for any value;
-    /// only wall-clock time changes.
+    /// Worker threads for the MHH build, clique enumeration and
+    /// scoring (1 = serial). A run with more than one creates one
+    /// [`WorkerPool`] at its start and keeps it to the end. Results are
+    /// identical for any value; only wall-clock time changes.
     pub threads: usize,
-    /// Pin worker threads (and the coordinating thread) to CPU cores,
-    /// round-robin over the cores the process is allowed to run on.
-    /// Purely a scheduling hint: results are bit-identical either way,
-    /// and the flag is a silent no-op on platforms without
-    /// `sched_setaffinity`.
+    /// Pin the run's pool workers (and the coordinating thread) to CPU
+    /// cores, round-robin over the cores the process is allowed to run
+    /// on; only effective with `threads > 1`. Purely a scheduling hint:
+    /// results are bit-identical either way, and the flag is a silent
+    /// no-op on platforms without `sched_setaffinity`.
     pub pin_cores: bool,
-    /// Maintain cliques, scores, the CSR view and the MHH memo
-    /// incrementally across outer-loop rounds (the
-    /// [`crate::engine::SearchEngine`]) instead of
-    /// rebuilding them each round. Results are bit-identical either way
-    /// (enforced by the engine-parity suite); `false` exists for
-    /// benchmarking the rebuild path and for verification.
-    pub incremental: bool,
 }
 
 impl Default for MariohConfig {
@@ -62,7 +56,6 @@ impl Default for MariohConfig {
             max_iterations: 10_000,
             threads: 1,
             pin_cores: false,
-            incremental: true,
         }
     }
 }
@@ -82,7 +75,7 @@ pub struct ReconstructionReport {
 
 impl ReconstructionReport {
     /// Total listed cliques carried across rounds without re-enumeration
-    /// by the incremental engine (0 for rebuild-every-round runs).
+    /// by the search engine.
     pub fn cliques_reused(&self) -> usize {
         self.rounds.iter().map(|r| r.cliques_reused).sum()
     }
@@ -133,11 +126,14 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     if cancel.is_cancelled() {
         return Err(MariohError::Cancelled);
     }
+    // The run's one worker pool: filtering and every search round fan
+    // out over it; a serial run spawns nothing.
+    let pool = (cfg.threads > 1).then(|| WorkerPool::with_affinity(cfg.threads, cfg.pin_cores));
     let filtered = if cfg.use_filtering {
         let t0 = std::time::Instant::now();
         let (g2, stats) = {
             let _span = marioh_obs::Span::enter("filtering");
-            filtering(g, &mut reconstruction, cfg.threads)
+            filtering(g, &mut reconstruction, pool.as_ref())
         };
         report.filtering_secs = t0.elapsed().as_secs_f64();
         observer.on_filtering_done(&stats, report.filtering_secs);
@@ -152,18 +148,12 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     let mut stall_rounds = 0usize;
     let mut total_committed = 0usize;
     // One engine for the whole run: it freezes the (filtered) graph once
-    // and owns the residual from then on; the MHH memo, worker pool and
-    // previous round's clique list persist across rounds (commits
-    // invalidate only the region around removed edges). Bit-identical to
-    // rebuilding per round — `incremental: false` forces the rebuild path.
-    let work = filtered.as_ref().unwrap_or(g);
-    let mut engine = if cfg.incremental {
-        SearchEngine::new(work, cfg.threads)
-    } else {
-        SearchEngine::full_rebuild(work, cfg.threads)
-    };
+    // and owns the residual from then on; the MHH memo and previous
+    // round's clique list persist across rounds (commits invalidate only
+    // the region around removed edges). Bit-identical to a fresh engine
+    // per round.
+    let mut engine = SearchEngine::new(filtered.as_ref().unwrap_or(g), pool.as_ref());
     drop(filtered);
-    engine.set_pin_cores(cfg.pin_cores);
     while engine.residual().num_edges() > 0 && report.rounds.len() < cfg.max_iterations {
         let stats = {
             let _span = marioh_obs::Span::enter("round");

@@ -12,17 +12,20 @@
 //!
 //! Two ways to build one:
 //!
-//! * [`RoundContext::new`] / [`RoundContext::with_threads`] — freeze a
-//!   [`ProjectedGraph`] now, owning the view (one-shot callers:
-//!   filtering, training, the SHyRe baseline, benches). The view serves
-//!   enumeration ([`marioh_hypergraph::clique::maximal_cliques`]) as well
-//!   as scoring ([`crate::parallel::score_cliques`]).
+//! * [`RoundContext::new`] — freeze a [`ProjectedGraph`] now, owning the
+//!   view (one-shot callers: training, the SHyRe baseline, benches). The
+//!   view serves enumeration
+//!   ([`marioh_hypergraph::clique::maximal_cliques`]) as well as scoring
+//!   ([`crate::parallel::score_cliques`]).
 //! * [`RoundContext::with_frozen`] — borrow the residual view (and
 //!   optionally an MHH memo) of the cross-round
 //!   [`crate::engine::SearchEngine`], which patches both with every
 //!   commit. The freeze is paid once per run, and each pass's context is
 //!   just a pair of borrows; the borrow keeps the engine from committing
 //!   while a pass reads the view.
+//!
+//! Either way, [`RoundContext::with_pool`] attaches the run's worker
+//! pool, which a lazy MHH build then fans out over.
 //!
 //! Everything inside a context is immutable, so any number of scoring
 //! workers can share one `&RoundContext`.
@@ -47,24 +50,17 @@ enum MhhSrc<'g> {
 /// built, or borrowed from a cross-round engine).
 pub struct RoundContext<'g> {
     view: ViewSrc<'g>,
-    threads: usize,
-    /// A persistent pool for the lazy MHH build (spawns scoped threads
-    /// otherwise). Values are identical either way.
+    /// The run's pool for the lazy MHH build (serial without one).
+    /// Values are identical either way.
     pool: Option<&'g WorkerPool>,
     mhh: MhhSrc<'g>,
 }
 
 impl<'g> RoundContext<'g> {
-    /// Freezes `g` for one pass (single-threaded cache construction).
+    /// Freezes `g` for one pass.
     pub fn new(g: &ProjectedGraph) -> Self {
-        RoundContext::with_threads(g, 1)
-    }
-
-    /// Freezes `g`, remembering `threads` for the MHH-cache build.
-    pub fn with_threads(g: &ProjectedGraph, threads: usize) -> Self {
         RoundContext {
             view: ViewSrc::Owned(GraphView::freeze(g)),
-            threads: threads.max(1),
             pool: None,
             mhh: MhhSrc::Lazy(OnceLock::new()),
         }
@@ -78,10 +74,9 @@ impl<'g> RoundContext<'g> {
     /// from the *patched* view, so its values are identical to a fresh
     /// freeze-and-build. [`RoundContext::take_mhh`] lets the caller keep
     /// that build for later rounds.
-    pub fn with_frozen(view: &'g GraphView, mhh: Option<&'g MhhCache>, threads: usize) -> Self {
+    pub fn with_frozen(view: &'g GraphView, mhh: Option<&'g MhhCache>) -> Self {
         RoundContext {
             view: ViewSrc::Shared(view),
-            threads: threads.max(1),
             pool: None,
             mhh: match mhh {
                 Some(cache) => MhhSrc::Shared(cache),
@@ -90,10 +85,9 @@ impl<'g> RoundContext<'g> {
         }
     }
 
-    /// Routes a lazy MHH build through `pool` instead of spawning scoped
-    /// threads — callers that keep a pool alive across rounds (the
-    /// cross-round engine) attach it so even the one full build a run
-    /// pays never spawns.
+    /// Fans a lazy MHH build out over `pool` (the run's pool; without
+    /// one the build is serial). A build triggered from inside a job on
+    /// the same pool runs inline on that participant.
     pub fn with_pool(mut self, pool: &'g WorkerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -113,10 +107,7 @@ impl<'g> RoundContext<'g> {
     pub fn mhh_cache(&self) -> &MhhCache {
         match &self.mhh {
             MhhSrc::Shared(cache) => cache,
-            MhhSrc::Lazy(lock) => lock.get_or_init(|| match self.pool {
-                Some(pool) if pool.threads() > 1 => MhhCache::build_pool(self.view(), pool),
-                _ => MhhCache::build(self.view(), self.threads),
-            }),
+            MhhSrc::Lazy(lock) => lock.get_or_init(|| MhhCache::build(self.view(), self.pool)),
         }
     }
 
@@ -143,7 +134,8 @@ mod tests {
         g.add_edge_weight(NodeId(0), NodeId(1), 2);
         g.add_edge_weight(NodeId(1), NodeId(2), 1);
         g.add_edge_weight(NodeId(0), NodeId(2), 1);
-        let ctx = RoundContext::with_threads(&g, 4);
+        let pool = WorkerPool::new(4);
+        let ctx = RoundContext::new(&g).with_pool(&pool);
         assert_eq!(ctx.view().num_edges(), g.num_edges());
         assert_eq!(
             ctx.mhh_cache().get(ctx.view(), NodeId(0), NodeId(1)),
@@ -160,8 +152,8 @@ mod tests {
         g.add_edge_weight(NodeId(0), NodeId(1), 2);
         g.add_edge_weight(NodeId(1), NodeId(2), 3);
         let view = GraphView::freeze(&g);
-        let cache = MhhCache::build(&view, 1);
-        let ctx = RoundContext::with_frozen(&view, Some(&cache), 2);
+        let cache = MhhCache::build(&view, None);
+        let ctx = RoundContext::with_frozen(&view, Some(&cache));
         assert!(std::ptr::eq(ctx.view(), &view));
         assert!(std::ptr::eq(ctx.mhh_cache(), &cache));
         assert!(ctx.take_mhh().is_none(), "borrowed memo is not handed back");
@@ -173,8 +165,8 @@ mod tests {
         g.add_edge_weight(NodeId(0), NodeId(1), 2);
         g.add_edge_weight(NodeId(0), NodeId(2), 1);
         let view = GraphView::freeze(&g);
-        let ctx = RoundContext::with_frozen(&view, None, 1);
-        let never_requested = RoundContext::with_frozen(&view, None, 1);
+        let ctx = RoundContext::with_frozen(&view, None);
+        let never_requested = RoundContext::with_frozen(&view, None);
         assert!(never_requested.take_mhh().is_none());
         let expected = ctx.mhh_cache().get(&view, NodeId(0), NodeId(1));
         assert_eq!(

@@ -13,11 +13,11 @@
 
 /// Statistics reported by one [`crate::engine::SearchEngine::round`].
 ///
-/// Equality (and the derived hash of nothing — there is none) covers the
-/// **algorithmic** fields only: `round_ms` varies run to run, and the
-/// `cliques_reused` / `cliques_rescored` split depends on whether the
-/// engine carried state into the round — neither changes the search's
-/// outcome, and the bit-parity suites compare stats across engine modes.
+/// Equality covers the **algorithmic** fields only. `round_ms` varies
+/// run to run, and `cliques_reused` / `cliques_rescored` are telemetry:
+/// a fresh engine reuses nothing where a persistent one carries its
+/// clique list, with the same search outcome. The bit-parity suites
+/// compare a persistent engine's stats with a fresh engine's.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Maximal cliques enumerated this round.
@@ -58,6 +58,7 @@ mod tests {
     use crate::progress::CancelToken;
     use marioh_hypergraph::{
         hyperedge::edge, projection::project, GraphView, Hypergraph, NodeId, ProjectedGraph,
+        WorkerPool,
     };
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -68,16 +69,16 @@ mod tests {
     /// Runs one round on a fresh engine over `g`, returning the stats,
     /// the engine (whose residual is the graph after the round) and the
     /// reconstruction.
-    fn one_round(
+    fn one_round<'p>(
         g: &ProjectedGraph,
         scorer: &dyn CliqueScorer,
         theta: f64,
         neg_ratio: f64,
         phase2: bool,
-        threads: usize,
+        pool: Option<&'p WorkerPool>,
         seed: u64,
-    ) -> (SearchStats, SearchEngine, Hypergraph) {
-        let mut engine = SearchEngine::new(g, threads);
+    ) -> (SearchStats, SearchEngine<'p>, Hypergraph) {
+        let mut engine = SearchEngine::new(g, pool);
         let mut rec = Hypergraph::new(0);
         let mut rng = StdRng::seed_from_u64(seed);
         let stats = engine
@@ -99,7 +100,7 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
         let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.99);
-        let (stats, engine, rec) = one_round(&project(&h), &scorer, 0.5, 20.0, true, 1, 0);
+        let (stats, engine, rec) = one_round(&project(&h), &scorer, 0.5, 20.0, true, None, 0);
         assert_eq!(stats.committed_phase1, 1);
         assert!(rec.contains(&edge(&[0, 1, 2])));
         assert_eq!(engine.residual().num_edges(), 0);
@@ -124,7 +125,7 @@ mod tests {
                 }
             },
         );
-        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, true, 1, 0);
+        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, true, None, 0);
         assert_eq!(stats.committed_phase1, 1);
         assert!(rec.contains(&edge(&[0, 1, 2])));
         assert!(!rec.contains(&edge(&[1, 2, 3])));
@@ -150,7 +151,7 @@ mod tests {
                 }
             },
         );
-        let (stats, _, rec) = one_round(&g, &scorer, 0.5, 100.0, true, 1, 1);
+        let (stats, _, rec) = one_round(&g, &scorer, 0.5, 100.0, true, None, 1);
         assert_eq!(stats.committed_phase1, 0);
         assert_eq!(stats.committed_phase2, 1);
         assert_eq!(rec.total_edge_count(), 1);
@@ -165,7 +166,7 @@ mod tests {
             g.add_edge_weight(n(u), n(v), 1);
         }
         let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.1);
-        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, false, 1, 1);
+        let (stats, engine, rec) = one_round(&g, &scorer, 0.5, 100.0, false, None, 1);
         assert_eq!(stats.subcliques_sampled, 0);
         assert_eq!(rec.total_edge_count(), 0);
         assert_eq!(engine.residual().num_edges(), 3); // untouched
@@ -190,7 +191,7 @@ mod tests {
                 }
             },
         );
-        let (stats, _, _) = one_round(&g, &scorer, 0.5, 10.0, true, 1, 2);
+        let (stats, _, _) = one_round(&g, &scorer, 0.5, 10.0, true, None, 2);
         // One clique probed, one sub-clique per k ∈ {2}.
         assert_eq!(stats.subcliques_sampled, 1);
     }
@@ -221,7 +222,9 @@ mod tests {
                 }
             }
             let run = |threads: usize| {
-                let (stats, engine, rec) = one_round(&proto, &scorer, 0.5, 50.0, true, threads, 5);
+                let pool = WorkerPool::new(threads);
+                let (stats, engine, rec) =
+                    one_round(&proto, &scorer, 0.5, 50.0, true, Some(&pool), 5);
                 (engine.residual().edges().collect::<Vec<_>>(), rec, stats)
             };
             let (g1, rec1, stats1) = run(1);
@@ -239,7 +242,7 @@ mod tests {
         let mut h = Hypergraph::new(0);
         h.add_edge(edge(&[0, 1, 2]));
         let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 0.99);
-        let mut engine = SearchEngine::new(&project(&h), 1);
+        let mut engine = SearchEngine::new(&project(&h), None);
         let mut rec = Hypergraph::new(0);
         let mut rng = StdRng::seed_from_u64(0);
         let cancel = CancelToken::new();
@@ -260,7 +263,7 @@ mod tests {
         }
         // Sigmoid-like scorer: always positive.
         let scorer = FnScorer(|_: &GraphView, _: &[NodeId]| 1e-6);
-        let (stats, engine, _) = one_round(&g, &scorer, 0.0, 20.0, true, 1, 3);
+        let (stats, engine, _) = one_round(&g, &scorer, 0.0, 20.0, true, None, 3);
         assert_eq!(stats.committed_phase1, 2);
         // One unit of weight removed per edge per commit.
         assert_eq!(engine.residual().total_weight(), 2);

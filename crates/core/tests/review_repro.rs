@@ -21,7 +21,7 @@ impl CliqueScorer for MhhScorer {
 fn lazy_mhh_build_inside_pool_scoring_does_not_deadlock() {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        // Graph with >= 4096 slots so build_pool actually fans out
+        // Graph with >= 4096 slots so the MHH build actually fans out
         // (slots = 2 * edges; n = 96 yields 2351 edges, 4702 slots).
         let n = 96u32;
         let mut g = ProjectedGraph::new(n);
@@ -35,7 +35,7 @@ fn lazy_mhh_build_inside_pool_scoring_does_not_deadlock() {
         let view = GraphView::freeze(&g);
         assert!(view.num_slots() >= 4096, "too small: {}", view.num_slots());
         let pool = WorkerPool::new(4);
-        let ctx = RoundContext::with_frozen(&view, None, 4).with_pool(&pool);
+        let ctx = RoundContext::with_frozen(&view, None).with_pool(&pool);
         let cliques: Vec<Vec<NodeId>> = g
             .sorted_edge_list()
             .into_iter()

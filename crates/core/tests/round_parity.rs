@@ -77,7 +77,7 @@ fn serial_threaded_and_batched_scoring_are_bit_identical() {
             // Serial and threaded through the public entry point.
             for threads in [1, 2, 4] {
                 let pool = WorkerPool::new(threads);
-                let threaded = RoundContext::with_threads(&g, threads);
+                let threaded = RoundContext::new(&g).with_pool(&pool);
                 assert_eq!(
                     score_cliques(&model, &threaded, &cliques, Some(&pool)),
                     reference,
@@ -101,7 +101,8 @@ fn trained_rounds_match_across_thread_counts_with_stats() {
         let model = trained_model(&h, FeatureMode::Multiplicity, 11 + case);
         let proto = project(&h);
         let run = |threads: usize| {
-            let mut engine = SearchEngine::new(&proto, threads);
+            let pool = WorkerPool::new(threads);
+            let mut engine = SearchEngine::new(&proto, Some(&pool));
             let mut rec = Hypergraph::new(proto.num_nodes());
             let mut rng = StdRng::seed_from_u64(3);
             let stats = engine
@@ -150,8 +151,8 @@ fn view_scoring_handles_graphs_with_isolated_and_dense_regions() {
         .iter()
         .map(|c| reference::score(&model, &g, c))
         .collect();
-    let round = RoundContext::with_threads(&g, 4);
     let pool = WorkerPool::new(4);
+    let round = RoundContext::new(&g).with_pool(&pool);
     assert_eq!(
         score_cliques(&model, &round, &cliques, Some(&pool)),
         reference

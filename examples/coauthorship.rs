@@ -7,7 +7,7 @@
 //! ```
 
 use marioh::baselines::shyre::{ShyreFlavor, ShyreSupervised};
-use marioh::baselines::ReconstructionMethod;
+use marioh::baselines::Reconstructor;
 use marioh::core::{Marioh, TrainingConfig};
 use marioh::datasets::split::split_source_target;
 use marioh::datasets::PaperDataset;

@@ -7,7 +7,7 @@
 //! ```
 
 use marioh::baselines::shyre::ShyreUnsup;
-use marioh::baselines::ReconstructionMethod;
+use marioh::baselines::Reconstructor;
 use marioh::core::{Pipeline, Variant};
 use marioh::datasets::split::split_source_target;
 use marioh::datasets::PaperDataset;

@@ -1,12 +1,10 @@
 //! Cross-crate integration tests for the baseline methods: every method
 //! produces structurally valid output on real registry datasets, and the
-//! whole zoo satisfies a shared [`ReconstructionMethod`] conformance
+//! whole zoo satisfies a shared [`Reconstructor`] conformance
 //! contract.
 
 use marioh::baselines::shyre::{ShyreFlavor, ShyreSupervised, ShyreUnsup};
-use marioh::baselines::{
-    BayesianMdl, CFinder, CliqueCovering, Demon, MaxClique, ReconstructionMethod,
-};
+use marioh::baselines::{BayesianMdl, CFinder, CliqueCovering, Demon, MaxClique, Reconstructor};
 use marioh::core::{Pipeline, Variant};
 use marioh::datasets::split::split_source_target;
 use marioh::datasets::PaperDataset;
@@ -39,7 +37,7 @@ fn assert_edges_are_cliques(rec: &Hypergraph, g: &ProjectedGraph, name: &str) {
 /// fixed seed, and output confined to the input's node set. (Clique-ness
 /// of every hyperedge is NOT part of the contract — community methods
 /// like Demon legitimately merge beyond cliques.)
-fn assert_conformance(method: &dyn ReconstructionMethod, g: &ProjectedGraph, seed: u64) {
+fn assert_conformance(method: &dyn Reconstructor, g: &ProjectedGraph, seed: u64) {
     let name = method.name();
     assert!(!name.is_empty(), "method with empty name");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -66,7 +64,7 @@ fn assert_conformance(method: &dyn ReconstructionMethod, g: &ProjectedGraph, see
 fn every_method_satisfies_the_conformance_contract() {
     let (source, _, g) = fixture();
     let mut rng = StdRng::seed_from_u64(7);
-    let methods: Vec<Box<dyn ReconstructionMethod>> = vec![
+    let methods: Vec<Box<dyn Reconstructor>> = vec![
         Box::new(MaxClique),
         Box::new(CliqueCovering),
         Box::new(BayesianMdl::default()),
@@ -106,7 +104,7 @@ fn every_method_satisfies_the_conformance_contract() {
 fn clique_decomposition_methods_produce_valid_cliques() {
     let (_, _, g) = fixture();
     let mut rng = StdRng::seed_from_u64(1);
-    for method in [&MaxClique as &dyn ReconstructionMethod, &CliqueCovering] {
+    for method in [&MaxClique as &dyn Reconstructor, &CliqueCovering] {
         let rec = method.reconstruct(&g, &mut rng).unwrap();
         assert!(rec.unique_edge_count() > 0, "{}", method.name());
         assert_edges_are_cliques(&rec, &g, method.name());
@@ -118,7 +116,7 @@ fn cover_methods_cover_every_edge() {
     let (_, _, g) = fixture();
     let mut rng = StdRng::seed_from_u64(2);
     for method in [
-        &CliqueCovering as &dyn ReconstructionMethod,
+        &CliqueCovering as &dyn Reconstructor,
         &BayesianMdl::default(),
         &ShyreUnsup,
     ] {
@@ -162,7 +160,7 @@ fn shyre_unsup_preserves_total_weight() {
 fn all_baselines_handle_an_empty_graph() {
     let g = ProjectedGraph::new(5);
     let mut rng = StdRng::seed_from_u64(5);
-    let methods: Vec<Box<dyn ReconstructionMethod>> = vec![
+    let methods: Vec<Box<dyn Reconstructor>> = vec![
         Box::new(MaxClique),
         Box::new(CliqueCovering),
         Box::new(BayesianMdl::default()),

@@ -3,7 +3,7 @@
 //! don't fit a single crate.
 
 use marioh::baselines::shyre::{ShyreFlavor, ShyreSupervised};
-use marioh::baselines::{CFinder, ReconstructionMethod};
+use marioh::baselines::{CFinder, Reconstructor};
 use marioh::core::model::FnScorer;
 use marioh::core::parallel::score_cliques;
 use marioh::core::reconstruct::reconstruct;

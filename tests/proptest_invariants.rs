@@ -76,7 +76,7 @@ proptest! {
     fn mhh_lemmas(h in arb_hypergraph(10, 10)) {
         let g = project(&h);
         let view = GraphView::freeze(&g);
-        let cache = MhhCache::build(&view, 1);
+        let cache = MhhCache::build(&view, None);
         for (u, v, w) in g.sorted_edge_list() {
             let true_higher: u64 = h
                 .iter()
@@ -101,7 +101,7 @@ proptest! {
     fn filtering_soundness(h in arb_hypergraph(10, 10)) {
         let g = project(&h);
         let mut rec = Hypergraph::new(0);
-        let (g2, stats) = filtering(&g, &mut rec, 1);
+        let (g2, stats) = filtering(&g, &mut rec, None);
         prop_assert!(g2.check_invariants().is_ok());
         prop_assert_eq!(g.total_weight() - g2.total_weight(), stats.multiplicity_extracted);
         for (e, m) in rec.iter() {

@@ -83,7 +83,8 @@ proptest! {
     fn threaded_search_round_equals_serial(g in arb_graph(12), threads in 2usize..6) {
         let scorer = FnScorer(|_: &GraphView, c: &[NodeId]| 1.0 / c.len() as f64);
         let run = |t: usize| {
-            let mut engine = SearchEngine::new(&g, t);
+            let pool = WorkerPool::new(t);
+            let mut engine = SearchEngine::new(&g, Some(&pool));
             let mut rec = Hypergraph::new(g.num_nodes());
             let mut rng = StdRng::seed_from_u64(3);
             let stats = engine
