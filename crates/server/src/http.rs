@@ -172,6 +172,10 @@ pub const RETRY_AFTER_SECS: u32 = 1;
 /// `/metrics` exposition is plain text, not JSON). Every 503 — queue
 /// full, connection cap, batch overflow — carries a `Retry-After`
 /// header, added here so no rejection path can forget it.
+///
+/// The head is formatted into one buffer first, so an unbuffered
+/// socket sees two writes per response (head, payload) rather than one
+/// per formatted piece.
 pub fn write_text_response<W: Write>(
     writer: &mut W,
     status: u16,
@@ -183,12 +187,13 @@ pub fn write_text_response<W: Write>(
     } else {
         String::new()
     };
-    write!(
-        writer,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}Connection: close\r\n\r\n{payload}",
+    let head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}Connection: close\r\n\r\n",
         reason(status),
         payload.len(),
-    )?;
+    );
+    writer.write_all(head.as_bytes())?;
+    writer.write_all(payload.as_bytes())?;
     writer.flush()
 }
 
@@ -265,6 +270,50 @@ mod tests {
             write_response(&mut out, status, &error_body("x")).unwrap();
             let text = String::from_utf8(out).unwrap();
             assert!(!text.contains("Retry-After"), "{status}: {text}");
+        }
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_at_most_two_writes_with_unchanged_bytes() {
+        let cases = [
+            (
+                200,
+                r#"{"ok":true}"#,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 11\r\nConnection: close\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                503,
+                r#"{"error":"full"}"#,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 16\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+                 {\"error\":\"full\"}",
+            ),
+        ];
+        for (status, payload, expected) in cases {
+            let mut out = CountingWriter::default();
+            write_text_response(&mut out, status, "application/json", payload).unwrap();
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+            assert!(out.writes <= 2, "{status}: {} writes", out.writes);
         }
     }
 

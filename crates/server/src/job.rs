@@ -297,9 +297,11 @@ impl JobManager {
     /// capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
         let hash = self.validate_spec(&spec)?;
-        // The cache probe can read (and parse, on a disk store) a large
-        // artifact — do it before touching the orchestration lock that
-        // every worker dispatch and finish contends on.
+        // The cache probe can read and parse a large artifact — on a
+        // disk store only the first time: later hits share the decoded
+        // result earlier records hold. Either way, do it before touching
+        // the orchestration lock that every worker dispatch and finish
+        // contends on.
         let cached = self.shared.artifacts.get_result(&hash);
         let shutting_down =
             || SubmitError::Invalid("server is shutting down; not accepting jobs".to_owned());

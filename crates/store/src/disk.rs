@@ -45,6 +45,12 @@
 //! eviction across result and model artifacts, with terminal job
 //! records folded into the same policy via the record table's byte cap.
 //!
+//! A result artifact is decoded at most once while anyone holds it: a
+//! live-result index (hash → `Weak`) hands every later cache hit and
+//! lazy record load the copy already in memory, after the same filter
+//! and presence checks, so retained records of one spec share one
+//! hypergraph.
+//!
 //! # Degraded mode
 //!
 //! Disk failures must not take serving down: artifact writes retry
@@ -83,7 +89,7 @@ use std::fs::{self, File};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 /// Version of the on-disk store format, written into `VERSION` and the
@@ -360,8 +366,8 @@ struct CompactSignal {
 /// dropping the store can signal shutdown and join without a cycle.
 ///
 /// Lock order: `inner` before `filters` (rotation seals the tail filter
-/// while holding `inner`); `art` is taken alone; never take `inner` or
-/// `art` while holding `filters`.
+/// while holding `inner`); `art` and `live` are taken alone; never take
+/// `inner` or `art` while holding `filters`.
 struct StoreCore {
     root: PathBuf,
     wal_dir: PathBuf,
@@ -371,6 +377,12 @@ struct StoreCore {
     art: Mutex<ArtState>,
     filters: Mutex<FilterSet>,
     overlay: Mutex<ArtifactOverlay>,
+    /// The live-result index: the one decoded copy of each on-disk
+    /// result that some job record (or caller) still holds. It never
+    /// keeps a result alive by itself, so it costs no budget; eviction
+    /// drops an artifact's entry with it. Never held across I/O or a
+    /// decode.
+    live: Mutex<HashMap<SpecHash, Weak<JobResult>>>,
     /// Set once persistent I/O failure flips the store to read-only
     /// degraded mode; checked lock-free on every write path.
     degraded: Arc<AtomicBool>,
@@ -398,6 +410,35 @@ impl StoreCore {
 
     fn overlay(&self) -> MutexGuard<'_, ArtifactOverlay> {
         self.overlay.lock().expect("artifact overlay lock poisoned")
+    }
+
+    /// A map of `Weak` is consistent after every single step, so a
+    /// panic elsewhere while it was held cannot leave it half-updated.
+    fn live(&self) -> MutexGuard<'_, HashMap<SpecHash, Weak<JobResult>>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers `result` as the shared copy of `hash`'s artifact,
+    /// unless a live one is already registered; returns the copy
+    /// callers should hold, so concurrent decodes converge on one.
+    fn share_result(&self, hash: &SpecHash, result: Arc<JobResult>) -> Arc<JobResult> {
+        let mut live = self.live();
+        if let Some(existing) = live.get(hash).and_then(Weak::upgrade) {
+            return existing;
+        }
+        live.insert(*hash, Arc::downgrade(&result));
+        result
+    }
+
+    /// The stored result for `hash`: the shared copy when one is live,
+    /// else a fresh decode of the artifact, registered for the next
+    /// caller.
+    fn load_result(&self, hash: &SpecHash) -> Result<Arc<JobResult>, MariohError> {
+        if let Some(live) = self.live().get(hash).and_then(Weak::upgrade) {
+            return Ok(live);
+        }
+        let decoded = read_result_file(&self.result_path(hash))?;
+        Ok(self.share_result(hash, Arc::new(decoded)))
     }
 
     fn result_path(&self, hash: &SpecHash) -> PathBuf {
@@ -692,6 +733,7 @@ impl DiskStore {
             art: Mutex::new(art),
             filters: Mutex::new(filters),
             overlay: Mutex::new(ArtifactOverlay::default()),
+            live: Mutex::new(HashMap::new()),
             degraded,
             compact_mx: Mutex::new(CompactSignal::default()),
             compact_cv: Condvar::new(),
@@ -1089,6 +1131,9 @@ fn enforce_budget(core: &StoreCore) {
         let Some((hash, kind, bytes)) = victim else {
             return;
         };
+        if kind == ArtifactKind::Result {
+            core.live().remove(&hash);
+        }
         let _ = fs::remove_file(core.artifact_path(&hash, kind));
         let obs = marioh_obs::global();
         obs.counter_with("marioh_store_evictions_total", &[("kind", kind.tag())])
@@ -1130,6 +1175,9 @@ fn note_filter_fp(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) {
         .counter_with("marioh_store_filter_fp_total", &[("kind", kind.tag())])
         .inc();
     core.art().remove(*hash, kind);
+    if kind == ArtifactKind::Result {
+        core.live().remove(hash);
+    }
 }
 
 impl JobStore for DiskStore {
@@ -1196,30 +1244,26 @@ impl JobStore for DiskStore {
     }
 
     fn result(&self, id: u64) -> Option<(JobStatus, Option<Arc<JobResult>>)> {
-        let mut inner = self.core.inner();
-        let record = inner.table.get(id)?;
-        let (status, hash) = (record.status, record.hash);
-        if status == JobStatus::Done && record.result.is_none() {
-            if let Some(arc) = self.core.overlay().results.get(&hash).cloned() {
-                if let Some(record) = inner.table.get_mut(id) {
-                    record.result = Some(Arc::clone(&arc));
-                }
-                return Some((status, Some(arc)));
-            }
-            // Replayed done record: load the artifact lazily, memoize.
-            // This read is keyed by a known done record — not a
-            // speculative cache probe — so it bypasses the filter.
-            if let Ok(result) = read_result_file(&self.core.result_path(&hash)) {
-                let arc = Arc::new(result);
-                if let Some(record) = inner.table.get_mut(id) {
-                    record.result = Some(Arc::clone(&arc));
-                }
-                return Some((status, Some(arc)));
-            }
-            return Some((status, None));
+        let (status, hash, result) = {
+            let inner = self.core.inner();
+            let record = inner.table.get(id)?;
+            (record.status, record.hash, record.result.clone())
+        };
+        if status != JobStatus::Done || result.is_some() {
+            return Some((status, result));
         }
-        let result = inner.table.get(id).and_then(|r| r.result.clone());
-        Some((status, result))
+        // Replayed done record: load the artifact lazily — the shared
+        // copy when a live one exists — outside the table lock, then
+        // memoize. This read is keyed by a known done record — not a
+        // speculative cache probe — so it bypasses the filter.
+        let overlaid = self.core.overlay().results.get(&hash).cloned();
+        let Some(arc) = overlaid.or_else(|| self.core.load_result(&hash).ok()) else {
+            return Some((status, None));
+        };
+        if let Some(record) = self.core.inner().table.get_mut(id) {
+            record.result.get_or_insert_with(|| Arc::clone(&arc));
+        }
+        Some((status, Some(arc)))
     }
 
     fn spec_hash(&self, id: u64) -> Option<SpecHash> {
@@ -1359,6 +1403,7 @@ impl ArtifactStore for DiskStore {
         }
         let path = self.core.result_path(hash);
         if path.exists() {
+            self.core.share_result(hash, Arc::clone(result));
             // Identical content by construction; make sure the index
             // knows it (heals an orphan left by a crash between the
             // rename and the WAL record).
@@ -1383,7 +1428,12 @@ impl ArtifactStore for DiskStore {
             Ok(())
         });
         match written {
-            Ok(()) => note_artifact(&self.core, hash, ArtifactKind::Result, encoded.len() as u64),
+            Ok(()) => {
+                // Shared before it is noted: noting may evict it at once,
+                // and eviction must find the entry to drop.
+                self.core.share_result(hash, Arc::clone(result));
+                note_artifact(&self.core, hash, ArtifactKind::Result, encoded.len() as u64);
+            }
             Err(e) => {
                 enter_degraded(
                     &self.core.degraded,
@@ -1408,13 +1458,21 @@ impl ArtifactStore for DiskStore {
             crate::store::record_cache_probe("result", false);
             return None;
         }
-        match read_result_file(&self.core.result_path(hash)) {
-            Ok(result) => {
+        // The presence check keeps an evicted artifact a miss even if a
+        // record still holds its decoded copy; past it, a live copy is
+        // shared instead of read, decompressed and parsed again.
+        let found = if self.core.result_path(hash).exists() {
+            self.core.load_result(hash).ok()
+        } else {
+            None
+        };
+        match found {
+            Some(result) => {
                 crate::store::record_cache_probe("result", true);
                 self.core.art().touch(*hash, ArtifactKind::Result);
-                Some(Arc::new(result))
+                Some(result)
             }
-            Err(_) => {
+            None => {
                 note_filter_fp(&self.core, hash, ArtifactKind::Result);
                 crate::store::record_cache_probe("result", false);
                 None
@@ -2577,6 +2635,98 @@ mod tests {
         assert_eq!(store.artifact_stats().results, 2);
         assert!(store.get_result(&hashes[1]).is_none());
         assert!(store.get_result(&hashes[0]).is_some());
+    }
+
+    #[test]
+    fn cache_hits_share_the_stored_result() {
+        let dir = tmp_dir("share-hits");
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+        let (_, h) = spec(r#"{"dataset": "Hosts", "seed": 1}"#);
+        let put = result();
+        store.put_result(&h, &put).unwrap();
+        let hits: Vec<Arc<JobResult>> = (0..5).map(|_| store.get_result(&h).unwrap()).collect();
+        for hit in &hits {
+            assert!(Arc::ptr_eq(hit, &put), "a hit decoded a private copy");
+        }
+        assert_eq!(Arc::strong_count(&put), 1 + hits.len());
+
+        // Once every holder is gone the index keeps nothing alive: the
+        // next probe decodes again, equal to what was stored, and that
+        // copy is the one later probes share.
+        let weak = Arc::downgrade(&put);
+        drop(hits);
+        drop(put);
+        assert!(weak.upgrade().is_none(), "the index kept a result alive");
+        let again = store.get_result(&h).unwrap();
+        assert_eq!(again.reconstruction, result().reconstruction);
+        assert_eq!(again.jaccard.to_bits(), result().jaccard.to_bits());
+        assert!(Arc::ptr_eq(&again, &store.get_result(&h).unwrap()));
+    }
+
+    #[test]
+    fn a_replayed_done_record_shares_its_result_with_later_probes() {
+        let dir = tmp_dir("share-replay");
+        let (s, h) = spec(r#"{"dataset": "Hosts", "seed": 2}"#);
+        let id = {
+            let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+            let id = store.submit(&s, &h);
+            store.start(id).unwrap();
+            let r = result();
+            store.put_result(&h, &r).unwrap();
+            store.transition(
+                id,
+                Transition::Done {
+                    result: r,
+                    cached: false,
+                },
+            );
+            id
+        };
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+        let (status, loaded) = store.result(id).unwrap();
+        assert_eq!(status, JobStatus::Done);
+        let loaded = loaded.expect("replayed done record loads its artifact");
+        assert_eq!(loaded.reconstruction, result().reconstruction);
+        let probed = store.get_result(&h).unwrap();
+        assert!(Arc::ptr_eq(&loaded, &probed));
+        // The memoized record answers with the same copy.
+        assert!(Arc::ptr_eq(&loaded, &store.result(id).unwrap().1.unwrap()));
+
+        // And in the other order: a probe first, then the lazy load.
+        drop(store);
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+        let probed = store.get_result(&h).unwrap();
+        assert!(Arc::ptr_eq(&probed, &store.result(id).unwrap().1.unwrap()));
+    }
+
+    #[test]
+    fn an_evicted_result_misses_and_leaves_the_live_index() {
+        let probe_dir = tmp_dir("share-evict-probe");
+        let (_, h_probe) = spec(r#"{"dataset": "Hosts", "seed": 100}"#);
+        let size = {
+            let store = DiskStore::open_tuned(&probe_dir, tiny_tuning(16, 1 << 20)).unwrap();
+            store.put_result(&h_probe, &result()).unwrap();
+            store.artifact_stats().result_bytes
+        };
+        let dir = tmp_dir("share-evict");
+        let mut tuning = tiny_tuning(16, 1 << 20);
+        tuning.budget = Some(size + size / 2); // room for one, not two
+        let store = DiskStore::open_tuned(&dir, tuning).unwrap();
+        let (_, first) = spec(r#"{"dataset": "Hosts", "seed": 1}"#);
+        let (_, second) = spec(r#"{"dataset": "Hosts", "seed": 2}"#);
+        // A record-like holder keeps the first result alive throughout.
+        let held = result();
+        store.put_result(&first, &held).unwrap();
+        assert!(store.core.live().contains_key(&first));
+        store.put_result(&second, &result()).unwrap();
+        assert!(
+            store.get_result(&first).is_none(),
+            "an evicted artifact must miss even while its result is held"
+        );
+        assert!(!store.core.live().contains_key(&first));
+        assert!(store.core.live().contains_key(&second));
+        assert!(store.core.live().len() <= store.core.art().index.len());
+        assert_eq!(Arc::strong_count(&held), 1, "the index took a strong ref");
     }
 
     #[test]

@@ -237,9 +237,13 @@ pub(crate) struct Record {
     pub rounds: usize,
     pub committed: usize,
     pub error: Option<String>,
-    /// Shared, not cloned, on reads. The disk store leaves this `None`
-    /// for replayed `Done` records and loads the artifact lazily; the
-    /// memory store always leaves it `None` and decodes its artifact.
+    /// Shared, not cloned, on reads. On the disk store every done
+    /// record of one spec holds the same decoded result: cache hits and
+    /// lazy loads hand out the copy a record already holds (its
+    /// live-result index), so a resubmit adds a pointer, not a
+    /// hypergraph. The disk store leaves this `None` for replayed `Done`
+    /// records until their first read; the memory store always leaves
+    /// it `None` and decodes its artifact.
     pub result: Option<Arc<JobResult>>,
     pub cached: bool,
 }
@@ -247,7 +251,9 @@ pub(crate) struct Record {
 impl Record {
     /// Rough snapshot-encoded size of a terminal record (fixed framing
     /// plus the only unbounded field it retains, the error/note text) —
-    /// the unit the byte-budget retention policy accounts in.
+    /// the unit the byte-budget retention policy accounts in. A done
+    /// record's result is not counted: it is its artifact's one shared
+    /// decoded copy, which the artifact budget accounts for once.
     pub(crate) fn estimated_bytes(&self) -> u64 {
         128 + self.error.as_ref().map_or(0, |e| e.len() as u64)
     }

@@ -345,26 +345,7 @@ fn sigkilled_server_serves_old_results_and_resumes_its_queue_after_restart() {
     server.shutdown();
 
     // --- third life: the queue is empty, history still serves ----------
-    // The previous life's detached connection threads may hold the store
-    // (and its exclusive dir lock) for a moment after shutdown returns;
-    // retry briefly instead of flaking on "state dir is in use".
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let server = loop {
-        match Server::start_with_storage(
-            ServerConfig::default(),
-            StorageConfig {
-                state_dir: Some(state_dir.clone()),
-                retain: 1024,
-                store_budget: None,
-            },
-        ) {
-            Ok(server) => break server,
-            Err(e) if Instant::now() < deadline && e.to_string().contains("in use") => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => panic!("reopen again: {e}"),
-        }
-    };
+    let server = start_on_disk(&state_dir);
     let addr = server.local_addr();
     assert_eq!(status_of(&job_view(addr, running_id)), "done");
     assert_eq!(stat(&stats(addr), "queue_depth"), 0);
@@ -474,6 +455,161 @@ fn a_server_killed_between_compaction_snapshot_and_retirement_recovers_cleanly()
     }
     let s = stats(addr);
     assert_eq!(stat(&s, "jobs_submitted"), 1 + acked.len() as u64);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A result body past its leading `{"id":N,` — a resubmitted job
+/// answers under its own id, and everything after it must match.
+fn past_id(body: &str) -> Option<&str> {
+    Some(body.strip_prefix(r#"{"id":"#)?.split_once(',')?.1)
+}
+
+/// Opens the disk store at `state_dir` in-process. The previous life's
+/// detached connection threads may hold the store (and its exclusive
+/// dir lock) for a moment after shutdown returns; retry briefly instead
+/// of flaking on "state dir is in use".
+fn start_on_disk(state_dir: &std::path::Path) -> Server {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match Server::start_with_storage(
+            ServerConfig {
+                workers: 2,
+                queue_cap: 16,
+                ..ServerConfig::default()
+            },
+            StorageConfig {
+                state_dir: Some(state_dir.to_path_buf()),
+                retain: 4096,
+                store_budget: None,
+            },
+        ) {
+            Ok(server) => return server,
+            Err(e) if Instant::now() < deadline && e.to_string().contains("in use") => {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => panic!("open state dir: {e}"),
+        }
+    }
+}
+
+#[test]
+fn interleaved_cache_hits_on_a_disk_store_all_succeed_with_identical_results() {
+    let state_dir = std::env::temp_dir().join(format!("marioh-shared-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    // Hosts reconstructs to a multi-KB result, Crime to a smaller one.
+    let bodies = [
+        r#"{"dataset": "Hosts", "seed": 51}"#,
+        r#"{"dataset": "Crime", "seed": 52}"#,
+    ];
+
+    // First life: run both specs and keep their first fetched results.
+    let server = start_on_disk(&state_dir);
+    let addr = server.local_addr();
+    let ids: Vec<u64> = bodies.iter().map(|body| submit(addr, body)).collect();
+    let references: Vec<String> = ids
+        .iter()
+        .map(|&id| {
+            assert_eq!(status_of(&wait_terminal(addr, id)), "done");
+            let response = client::get(addr, &format!("/jobs/{id}/result")).expect("result");
+            assert_eq!(response.status, 200, "{}", response.body);
+            response.body
+        })
+        .collect();
+    assert!(references[0].len() > 2048, "{} bytes", references[0].len());
+    server.shutdown();
+
+    // Second life: the original records are replayed, so their results
+    // load lazily while resubmits probe the same artifacts — from two
+    // client threads at once.
+    let server = start_on_disk(&state_dir);
+    let addr = server.local_addr();
+    const OPS_PER_CLIENT: usize = 150;
+    let outcomes: Vec<(usize, Vec<String>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|client_no| {
+                let (ids, references) = (&ids, &references);
+                s.spawn(move || {
+                    let mut resubmits = 0;
+                    let mut failures = Vec::new();
+                    let mut check = |ok: bool, what: String| {
+                        if !ok {
+                            failures.push(what);
+                        }
+                    };
+                    // The servebench `cached` mix: 10% resubmits (each
+                    // followed by a fetch), 30% status reads, 60% result
+                    // fetches.
+                    for op in 0..OPS_PER_CLIENT {
+                        let spec = (op + client_no) % 2;
+                        let id = ids[spec];
+                        match op % 10 {
+                            0 => {
+                                resubmits += 1;
+                                let r =
+                                    client::post(addr, "/jobs", bodies[spec]).expect("resubmit");
+                                check(
+                                    r.status == 201,
+                                    format!("resubmit: {} {}", r.status, r.body),
+                                );
+                                let view = r.json().unwrap_or(Json::Null);
+                                check(
+                                    view.get("status").and_then(Json::as_str) == Some("done")
+                                        && view.get("cached").and_then(Json::as_bool) == Some(true),
+                                    format!("resubmit not answered from cache: {}", r.body),
+                                );
+                                let Some(new_id) = view.get("id").and_then(Json::as_u64) else {
+                                    check(false, format!("resubmit without id: {}", r.body));
+                                    continue;
+                                };
+                                let r = client::get(addr, &format!("/jobs/{new_id}/result"))
+                                    .expect("fetch resubmitted result");
+                                check(r.status == 200, format!("result {new_id}: {}", r.status));
+                                check(
+                                    past_id(&r.body).is_some()
+                                        && past_id(&r.body) == past_id(&references[spec]),
+                                    format!(
+                                        "result of resubmit {new_id} differs from spec {spec}'s"
+                                    ),
+                                );
+                            }
+                            1..=3 => {
+                                let r = client::get(addr, &format!("/jobs/{id}")).expect("status");
+                                check(r.status == 200, format!("status {id}: {}", r.status));
+                                let view = r.json().unwrap_or(Json::Null);
+                                check(
+                                    view.get("status").and_then(Json::as_str) == Some("done"),
+                                    format!("job {id} reports {}", r.body),
+                                );
+                            }
+                            _ => {
+                                let r = client::get(addr, &format!("/jobs/{id}/result"))
+                                    .expect("result");
+                                check(r.status == 200, format!("result {id}: {}", r.status));
+                                check(
+                                    r.body == references[spec],
+                                    format!("result of job {id} differs from its first fetch"),
+                                );
+                            }
+                        }
+                    }
+                    (resubmits, failures)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let failures: Vec<&String> = outcomes.iter().flat_map(|(_, f)| f).collect();
+    assert!(
+        failures.is_empty(),
+        "{} failed: {failures:?}",
+        failures.len()
+    );
+    let resubmits: usize = outcomes.iter().map(|(n, _)| n).sum();
+    let s = stats(addr);
+    assert_eq!(stat(&s, "pipeline_runs"), 0, "a resubmit ran a pipeline");
+    assert_eq!(stat(&s, "cache_hits"), resubmits as u64);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&state_dir);
