@@ -16,19 +16,41 @@ use crate::node::NodeId;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Writes `h` in the line format described in the module docs.
+/// Writes `h` in the line format described in the module docs, edges
+/// in [`Hypergraph::sorted_edges`] order. Each line is assembled in one
+/// reused buffer with [`push_u32`], the same bytes `write!` would give.
 pub fn write_hypergraph<W: Write>(h: &Hypergraph, writer: W) -> Result<(), HypergraphError> {
     let mut out = BufWriter::new(writer);
-    writeln!(out, "# marioh hypergraph v1: <multiplicity> <node...>")?;
+    out.write_all(b"# marioh hypergraph v1: <multiplicity> <node...>\n")?;
+    let mut line = Vec::with_capacity(64);
     for e in h.sorted_edges() {
-        write!(out, "{}", h.multiplicity(e))?;
+        line.clear();
+        push_u32(&mut line, h.multiplicity(e));
         for n in e.nodes() {
-            write!(out, " {n}")?;
+            line.push(b' ');
+            push_u32(&mut line, n.0);
         }
-        writeln!(out)?;
+        line.push(b'\n');
+        out.write_all(&line)?;
     }
     out.flush()?;
     Ok(())
+}
+
+/// Appends the decimal digits of `v` to `out`: what `write!(out, "{v}")`
+/// appends, without going through `fmt`.
+pub fn push_u32(out: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Reads a hypergraph written by [`write_hypergraph`].
@@ -161,12 +183,81 @@ mod tests {
     use super::*;
     use crate::hyperedge::edge;
     use crate::projection::project;
+    use proptest::prelude::*;
 
     fn sample() -> Hypergraph {
         let mut h = Hypergraph::new(0);
         h.add_edge_with_multiplicity(edge(&[0, 1, 2]), 2);
         h.add_edge(edge(&[1, 3]));
         h
+    }
+
+    /// The `fmt`-per-token writer [`write_hypergraph`] replaced: the
+    /// oracle its bytes must equal.
+    fn write_hypergraph_fmt(h: &Hypergraph) -> Vec<u8> {
+        let mut out = Vec::new();
+        writeln!(out, "# marioh hypergraph v1: <multiplicity> <node...>").unwrap();
+        for e in h.sorted_edges() {
+            write!(out, "{}", h.multiplicity(e)).unwrap();
+            for n in e.nodes() {
+                write!(out, " {n}").unwrap();
+            }
+            writeln!(out).unwrap();
+        }
+        out
+    }
+
+    fn written(h: &Hypergraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_hypergraph(h, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn push_u32_matches_fmt_at_the_edges_of_the_range() {
+        let mut values = vec![0, 1, 9, 10, 99, 100, u32::MAX - 1, u32::MAX];
+        values.extend((0..10).map(|p| 10u32.pow(p)));
+        values.extend((1..10).map(|p| 10u32.pow(p) - 1));
+        for v in values {
+            let mut out = b"x".to_vec();
+            push_u32(&mut out, v);
+            assert_eq!(out, format!("x{v}").into_bytes());
+        }
+    }
+
+    /// Node `u32::MAX` cannot be in a [`Hypergraph`] (its universe would
+    /// be `u32::MAX + 1` nodes), so the largest id here is one below it;
+    /// [`push_u32`] itself is checked at `u32::MAX` above.
+    fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
+        let node = prop_oneof![0u32..64, (u32::MAX - 64)..u32::MAX, any::<u32>()]
+            .prop_map(|n| n.min(u32::MAX - 1));
+        let mult = prop_oneof![1u32..4, (u32::MAX - 2)..=u32::MAX, 1u32..1_000_000];
+        proptest::collection::vec((proptest::collection::vec(node, 2..7), mult), 0..24).prop_map(
+            |edges| {
+                let mut h = Hypergraph::new(0);
+                for (nodes, m) in edges {
+                    if let Some(e) = Hyperedge::new(nodes.into_iter().map(NodeId)) {
+                        // Re-adding an edge must not overflow its count.
+                        if h.multiplicity(&e) == 0 {
+                            h.add_edge_with_multiplicity(e, m);
+                        }
+                    }
+                }
+                h
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writer_matches_the_fmt_oracle(h in arb_hypergraph()) {
+            let bytes = written(&h);
+            prop_assert_eq!(&bytes, &write_hypergraph_fmt(&h));
+            let back = read_hypergraph(bytes.as_slice()).unwrap();
+            prop_assert_eq!(back.sorted_edges(), h.sorted_edges());
+        }
     }
 
     #[test]

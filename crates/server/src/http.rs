@@ -160,8 +160,11 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes a JSON response with `Connection: close`.
 pub fn write_response<W: Write>(writer: &mut W, status: u16, body: &Json) -> io::Result<()> {
-    write_text_response(writer, status, "application/json", &body.to_string())
+    write_text_response(writer, status, JSON_CONTENT_TYPE, &body.to_string())
 }
+
+/// The content type of every JSON response.
+pub const JSON_CONTENT_TYPE: &str = "application/json";
 
 /// The `Retry-After` value (seconds) sent with every 503. Short on
 /// purpose: the conditions behind a 503 (queue full, connection cap)

@@ -311,14 +311,7 @@ impl JobManager {
             }
             // Deterministic pipeline + identical spec = identical result.
             // No queue slot, no token: the record is terminal on arrival.
-            let id = self.store().submit(&spec, &hash);
-            self.store().transition(
-                id,
-                Transition::Done {
-                    result,
-                    cached: true,
-                },
-            );
+            let id = self.store().submit_hits(vec![(hash, result)])[0];
             self.shared.cache_hits.inc();
             return Ok(id);
         }
@@ -382,8 +375,10 @@ impl JobManager {
     /// per-spec job ids. All-or-nothing: every spec is validated first
     /// and any failure rejects the whole batch with per-index messages.
     /// On a durable store the accepted batch is one log commit (one
-    /// fsync), not one per job. Specs whose results are already cached
-    /// are recorded `Done` on arrival without taking queue slots.
+    /// fsync) for its queued jobs and one for its cache hits, not one per
+    /// job. Specs whose results are already cached are recorded `Done` on
+    /// arrival without taking queue slots; their ids follow the queued
+    /// members' ids.
     ///
     /// # Errors
     ///
@@ -427,30 +422,34 @@ impl JobManager {
                 capacity: self.shared.queue_cap,
             }));
         }
-        let items: Vec<(JobSpec, SpecHash)> = specs.into_iter().zip(hashes).collect();
-        let ids = self.store().submit_batch(&items);
-        let mut done: Vec<(u64, Transition)> = Vec::new();
-        for (id, hit) in ids.iter().zip(cached) {
+        let is_hit: Vec<bool> = cached.iter().map(Option::is_some).collect();
+        let mut queued: Vec<(JobSpec, SpecHash)> = Vec::with_capacity(queue_need);
+        let mut hits: Vec<(SpecHash, Arc<JobResult>)> = Vec::new();
+        for ((spec, hash), hit) in specs.into_iter().zip(hashes).zip(cached) {
             match hit {
-                Some(result) => {
-                    self.shared.cache_hits.inc();
-                    done.push((
-                        *id,
-                        Transition::Done {
-                            result,
-                            cached: true,
-                        },
-                    ));
-                }
-                None => {
-                    orch.tokens.insert(*id, CancelToken::new());
-                    orch.queue.push_back(*id);
-                }
+                Some(result) => hits.push((hash, result)),
+                None => queued.push((spec, hash)),
             }
         }
-        if !done.is_empty() {
-            self.store().transition_batch(done);
+        self.shared.cache_hits.add(hits.len() as u64);
+        let queued_ids = self.store().submit_batch(&queued);
+        let hit_ids = self.store().submit_hits(hits);
+        for id in &queued_ids {
+            orch.tokens.insert(*id, CancelToken::new());
+            orch.queue.push_back(*id);
         }
+        let (mut queued_ids, mut hit_ids) = (queued_ids.into_iter(), hit_ids.into_iter());
+        let ids: Vec<u64> = is_hit
+            .into_iter()
+            .map(|hit| {
+                if hit {
+                    hit_ids.next()
+                } else {
+                    queued_ids.next()
+                }
+                .expect("the store returns one id per record")
+            })
+            .collect();
         let batch = orch.next_batch;
         orch.next_batch += 1;
         orch.batches.insert(batch, ids.clone());

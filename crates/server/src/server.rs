@@ -7,13 +7,18 @@
 //! [`Server::shutdown`]'s wake-up connection arrives, and
 //! `Connection: close` semantics throughout.
 
-use crate::http::{error_body, read_request, write_response, write_text_response, Request};
-use crate::job::{BatchError, BatchSubmission, JobManager, JobSpec, JobStatus, SubmitError};
+use crate::http::{
+    error_body, read_request, write_response, write_text_response, Request, JSON_CONTENT_TYPE,
+};
+use crate::job::{
+    BatchError, BatchSubmission, JobManager, JobResult, JobSpec, JobStatus, SubmitError,
+};
 use crate::json::Json;
 use crate::shards::{spawn_shard_router, EventSink};
 use crate::worker::spawn_workers;
 use marioh_core::MariohError;
 use marioh_dispatch::{DispatchConfig, Dispatcher, WorkerCommand};
+use marioh_hypergraph::io::push_u32;
 use marioh_store::{ArtifactStore, DiskStore, JobStore, MemoryStore, DEFAULT_RETAINED_JOBS};
 use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -383,14 +388,21 @@ fn endpoint_of(path: &str) -> &'static str {
     }
 }
 
-/// What a route produced: almost always JSON; `/metrics` is Prometheus
-/// plain text.
+/// What a route produced: almost always a `Json` value; `/metrics` is
+/// Prometheus plain text, and a done job's result is JSON text written
+/// directly (see [`result_body`]).
 enum Reply {
     Json(Json),
     Text {
         content_type: &'static str,
         body: String,
     },
+}
+
+impl From<Json> for Reply {
+    fn from(body: Json) -> Reply {
+        Reply::Json(body)
+    }
 }
 
 #[cfg(test)]
@@ -412,20 +424,23 @@ fn segments(path: &str) -> Vec<&str> {
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 fn route(request: &Request, manager: &JobManager) -> (u16, Reply) {
-    // `/metrics` is the one non-JSON route: the Prometheus rendering of
-    // the same merged snapshot `/stats` reads, so the two views can
-    // never disagree.
-    if request.method == "GET" && segments(&request.path).as_slice() == ["metrics"] {
-        return (
+    match (request.method.as_str(), segments(&request.path).as_slice()) {
+        // `/metrics` is the one non-JSON route: the Prometheus rendering
+        // of the same merged snapshot `/stats` reads, so the two views
+        // can never disagree.
+        ("GET", ["metrics"]) => (
             200,
             Reply::Text {
                 content_type: METRICS_CONTENT_TYPE,
                 body: manager.metrics_snapshot().render_prometheus(),
             },
-        );
+        ),
+        ("GET", ["jobs", id, "result"]) => with_job_id(id, |id| job_result(id, manager)),
+        _ => {
+            let (status, body) = route_json(request, manager);
+            (status, Reply::Json(body))
+        }
     }
-    let (status, body) = route_json(request, manager);
-    (status, Reply::Json(body))
 }
 
 fn route_json(request: &Request, manager: &JobManager) -> (u16, Json) {
@@ -451,7 +466,6 @@ fn route_json(request: &Request, manager: &JobManager) -> (u16, Json) {
             Some(view) => (200, view_body(&view)),
             None => not_found(id),
         }),
-        ("GET", ["jobs", id, "result"]) => with_job_id(id, |id| job_result(id, manager)),
         ("GET", ["batches", id]) => match id.parse::<u64>() {
             Ok(batch) => batch_body(batch, manager),
             Err(_) => (400, error_body(format!("invalid batch id {id:?}"))),
@@ -476,14 +490,14 @@ fn route_json(request: &Request, manager: &JobManager) -> (u16, Json) {
     }
 }
 
-fn not_found(id: u64) -> (u16, Json) {
-    (404, error_body(format!("no such job {id}")))
+fn not_found<T: From<Json>>(id: u64) -> (u16, T) {
+    (404, error_body(format!("no such job {id}")).into())
 }
 
-fn with_job_id(raw: &str, f: impl FnOnce(u64) -> (u16, Json)) -> (u16, Json) {
+fn with_job_id<T: From<Json>>(raw: &str, f: impl FnOnce(u64) -> (u16, T)) -> (u16, T) {
     match raw.parse::<u64>() {
         Ok(id) => f(id),
-        Err(_) => (400, error_body(format!("invalid job id {raw:?}"))),
+        Err(_) => (400, error_body(format!("invalid job id {raw:?}")).into()),
     }
 }
 
@@ -619,45 +633,64 @@ fn batch_body(batch: u64, manager: &JobManager) -> (u16, Json) {
     )
 }
 
-fn job_result(id: u64, manager: &JobManager) -> (u16, Json) {
-    let Some((status, result)) = manager.result(id) else {
-        return not_found(id);
-    };
-    match (status, result) {
-        (JobStatus::Done, Some(result)) => {
-            let edges: Vec<Json> = result
-                .reconstruction
-                .sorted_edges()
-                .into_iter()
-                .map(|e| {
-                    Json::Obj(vec![
-                        (
-                            "nodes".into(),
-                            Json::Arr(e.nodes().iter().map(|n| Json::num(n.0 as f64)).collect()),
-                        ),
-                        (
-                            "multiplicity".into(),
-                            Json::num(result.reconstruction.multiplicity(e) as f64),
-                        ),
-                    ])
-                })
-                .collect();
-            (
-                200,
-                Json::Obj(vec![
-                    ("id".into(), Json::num(id as f64)),
-                    ("jaccard".into(), Json::num(result.jaccard)),
-                    ("edges".into(), Json::Arr(edges)),
-                ]),
-            )
-        }
-        (status, _) => (
+fn job_result(id: u64, manager: &JobManager) -> (u16, Reply) {
+    match manager.result(id) {
+        None => not_found(id),
+        Some((JobStatus::Done, Some(result))) => (
+            200,
+            Reply::Text {
+                content_type: JSON_CONTENT_TYPE,
+                body: result_body(id, &result),
+            },
+        ),
+        Some((status, _)) => (
             409,
             error_body(format!(
                 "job {id} is {status}; results exist only for done jobs"
-            )),
+            ))
+            .into(),
         ),
     }
+}
+
+/// A done job's result body, written straight from its hypergraph:
+/// `{"id":…,"jaccard":…,"edges":[{"nodes":[…],"multiplicity":…},…]}`
+/// with edges in [`Hypergraph::sorted_edges`] order, the same bytes as
+/// the `Json` value of that shape would render. `id` and `jaccard` go
+/// through [`Json`]'s own number rendering (an integral `jaccard`
+/// prints without a point); node ids and multiplicities are `u32`s,
+/// which it prints as plain decimals, written here with
+/// [`push_u32`].
+///
+/// [`Hypergraph::sorted_edges`]: marioh_hypergraph::Hypergraph::sorted_edges
+fn result_body(id: u64, result: &JobResult) -> String {
+    use std::io::Write;
+    let h = &result.reconstruction;
+    let edges = h.sorted_edges();
+    let mut out = Vec::with_capacity(64 + 40 * edges.len());
+    let _ = write!(
+        out,
+        r#"{{"id":{},"jaccard":{},"edges":["#,
+        Json::num(id as f64),
+        Json::num(result.jaccard)
+    );
+    for (i, e) in edges.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(br#"{"nodes":["#);
+        for (j, n) in e.nodes().iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            push_u32(&mut out, n.0);
+        }
+        out.extend_from_slice(br#"],"multiplicity":"#);
+        push_u32(&mut out, h.multiplicity(e));
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"]}");
+    String::from_utf8(out).expect("JSON text is UTF-8")
 }
 
 fn view_body(view: &crate::job::JobView) -> Json {
@@ -772,6 +805,7 @@ fn stats_body(manager: &JobManager) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn start_rejects_zero_workers_and_zero_queue() {
@@ -848,6 +882,140 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         server.shutdown();
+    }
+
+    /// The per-edge `Json` tree the result route built before it wrote
+    /// its body directly: the oracle for [`result_body`]'s bytes.
+    fn result_tree(id: u64, result: &JobResult) -> Json {
+        let edges: Vec<Json> = result
+            .reconstruction
+            .sorted_edges()
+            .into_iter()
+            .map(|e| {
+                Json::Obj(vec![
+                    (
+                        "nodes".into(),
+                        Json::Arr(e.nodes().iter().map(|n| Json::num(n.0 as f64)).collect()),
+                    ),
+                    (
+                        "multiplicity".into(),
+                        Json::num(result.reconstruction.multiplicity(e) as f64),
+                    ),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("id".into(), Json::num(id as f64)),
+            ("jaccard".into(), Json::num(result.jaccard)),
+            ("edges".into(), Json::Arr(edges)),
+        ])
+    }
+
+    /// Random results, with integral (`0`, `1`) and non-integral
+    /// `jaccard`s, ids up to `u32::MAX - 1` and multiplicities up to
+    /// `u32::MAX`.
+    fn arb_result() -> impl Strategy<Value = JobResult> {
+        use marioh_hypergraph::{Hyperedge, Hypergraph, NodeId};
+        let jaccard = prop_oneof![
+            (0usize..4).prop_map(|i| [0.0, 1.0, 0.5, 1.0 / 3.0][i]),
+            0.0..1.0f64,
+        ];
+        let node = prop_oneof![0u32..50, (u32::MAX - 50)..u32::MAX];
+        let mult = prop_oneof![1u32..5, (u32::MAX - 2)..=u32::MAX];
+        let edges = proptest::collection::vec((proptest::collection::vec(node, 2..6), mult), 0..20);
+        (jaccard, edges).prop_map(|(jaccard, edges)| {
+            let mut h = Hypergraph::new(0);
+            for (nodes, m) in edges {
+                if let Some(e) = Hyperedge::new(nodes.into_iter().map(NodeId)) {
+                    if h.multiplicity(&e) == 0 {
+                        h.add_edge_with_multiplicity(e, m);
+                    }
+                }
+            }
+            JobResult {
+                reconstruction: h,
+                jaccard,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn result_body_matches_the_json_tree_oracle(
+            id in prop_oneof![1u64..1000, any::<u64>()],
+            result in arb_result(),
+        ) {
+            prop_assert_eq!(result_body(id, &result), result_tree(id, &result).to_string());
+        }
+    }
+
+    #[test]
+    fn result_route_bodies_are_unchanged() {
+        use marioh_hypergraph::hyperedge::edge;
+        let manager = JobManager::new(4, 1);
+        let get = |path: &str| {
+            let request = Request {
+                method: "GET".into(),
+                path: path.into(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            };
+            let (status, reply) = route(&request, &manager);
+            match reply {
+                Reply::Json(body) => (status, JSON_CONTENT_TYPE, body.to_string()),
+                Reply::Text { content_type, body } => (status, content_type, body),
+            }
+        };
+        assert_eq!(
+            get("/jobs/7/result"),
+            (
+                404,
+                JSON_CONTENT_TYPE,
+                r#"{"error":"no such job 7"}"#.into()
+            )
+        );
+        assert_eq!(
+            get("/jobs/x/result"),
+            (
+                400,
+                JSON_CONTENT_TYPE,
+                r#"{"error":"invalid job id \"x\""}"#.into()
+            )
+        );
+        let id = manager
+            .submit(JobSpec::from_json(&Json::parse(r#"{"dataset": "Hosts"}"#).unwrap()).unwrap())
+            .unwrap();
+        assert_eq!(
+            get(&format!("/jobs/{id}/result")),
+            (
+                409,
+                JSON_CONTENT_TYPE,
+                format!(r#"{{"error":"job {id} is queued; results exist only for done jobs"}}"#)
+            )
+        );
+        let job = manager.take_next().unwrap();
+        let mut h = marioh_hypergraph::Hypergraph::new(0);
+        h.add_edge_with_multiplicity(edge(&[2, 0, 1]), 3);
+        h.add_edge(edge(&[1, 4]));
+        manager.finish(
+            job.id,
+            Ok(JobResult {
+                reconstruction: h,
+                jaccard: 1.0,
+            }),
+        );
+        assert_eq!(
+            get(&format!("/jobs/{id}/result")),
+            (
+                200,
+                JSON_CONTENT_TYPE,
+                format!(
+                    r#"{{"id":{id},"jaccard":1,"edges":[{{"nodes":[0,1,2],"multiplicity":3}},{{"nodes":[1,4],"multiplicity":1}}]}}"#
+                )
+            )
+        );
     }
 
     #[test]

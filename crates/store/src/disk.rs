@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! <state-dir>/
-//!   VERSION                         "marioh-store v2"
+//!   VERSION                         "marioh-store v3"
 //!   jobs.snapshot                   compacted state + WAL watermark
 //!   wal/
 //!     seg-<first-seq>.wal           CRC-framed record segments
@@ -67,7 +67,8 @@
 //! migration note to `crates/store/FORMATS.md` (CI and a unit test fail
 //! otherwise). v1 state dirs migrate in place at open: the legacy
 //! `jobs.log` is replayed once, the artifact index is seeded from a
-//! directory scan, and a v2 snapshot replaces both.
+//! directory scan, and a snapshot replaces both. v2 dirs open as they
+//! are; only their `VERSION` is rewritten.
 
 use crate::compress;
 use crate::filter::{filter_key, XorFilter};
@@ -94,15 +95,26 @@ use std::time::Duration;
 
 /// Version of the on-disk store format, written into `VERSION` and the
 /// snapshot header. Opening a state dir written by a *newer* version is
-/// refused with a clear error; a v1 dir is migrated in place at open.
+/// refused with a clear error; v1 and v2 dirs are migrated in place at
+/// open.
 ///
 /// Bumping this constant requires a migration note in
 /// `crates/store/FORMATS.md`.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// The tag v1 stores wrote into `VERSION`; still accepted (and
 /// migrated) at open.
 const V1_TAG: &str = "marioh-store v1";
+
+/// The tag v2 stores wrote into `VERSION` and their snapshot header. A
+/// v2 dir is a v3 dir that has never logged a `hit` record, so opening
+/// one only rewrites `VERSION`.
+const V2_TAG: &str = "marioh-store v2";
+
+/// Version of the logical result encoding ([`encode_result`]'s
+/// `marioh-result vN` header). Unchanged since store v2: store v3 only
+/// added a WAL record type.
+const RESULT_FORMAT_VERSION: u32 = 2;
 
 /// Header line of a compressed result container; the body is one
 /// [`compress`] block holding exactly the [`encode_result`] bytes.
@@ -577,11 +589,14 @@ impl DiskStore {
 
         let version_path = root.join("VERSION");
         let mut migrate_from_v1 = false;
+        let mut migrate_from_v2 = false;
         match fs::read_to_string(&version_path) {
             Ok(existing) => {
                 let existing = existing.trim();
                 if existing == V1_TAG {
                     migrate_from_v1 = true;
+                } else if existing == V2_TAG {
+                    migrate_from_v2 = true;
                 } else if existing != format_tag() {
                     return Err(corrupt(format!(
                         "state dir {} was written by {:?}; this build is {:?} — migrate it first \
@@ -703,6 +718,11 @@ impl DiskStore {
             if had_legacy_log {
                 fs::remove_file(&legacy_log)?;
             }
+        } else if !read_only && migrate_from_v2 {
+            // Everything a v2 dir holds reads as v3. Stamping `VERSION`
+            // before the first `hit` record can be logged is what makes
+            // a v2 build refuse the dir from here on.
+            fs::write(&version_path, format!("{}\n", format_tag()))?;
         }
 
         let degraded = Arc::new(AtomicBool::new(false));
@@ -1134,6 +1154,12 @@ fn enforce_budget(core: &StoreCore) {
         if kind == ArtifactKind::Result {
             core.live().remove(&hash);
         }
+        // Out of the tail set before the file goes, so a probe after the
+        // eviction is a filter negative. A concurrent put that lands the
+        // artifact again re-inserts its key after writing the file.
+        core.filters()
+            .tail
+            .remove(&filter_key(hash.as_bytes(), kind.salt()));
         let _ = fs::remove_file(core.artifact_path(&hash, kind));
         let obs = marioh_obs::global();
         obs.counter_with("marioh_store_evictions_total", &[("kind", kind.tag())])
@@ -1169,7 +1195,11 @@ fn filter_admits(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) -> bool 
 
 /// Records a filter false positive: the filter said maybe, the disk
 /// said no. Drops any stale index entry (e.g. an eviction whose WAL
-/// record was lost to a crash) so the next rebuild forgets it.
+/// record was lost to a crash) so the next rebuild forgets it, and the
+/// key from the exact tail set so the next probe stops at the filter.
+/// A put can land the artifact meanwhile, so the key goes back if the
+/// file is there after the removal (a put inserts its key only after
+/// writing the file, so one of the two always restores it).
 fn note_filter_fp(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) {
     marioh_obs::global()
         .counter_with("marioh_store_filter_fp_total", &[("kind", kind.tag())])
@@ -1177,6 +1207,10 @@ fn note_filter_fp(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) {
     core.art().remove(*hash, kind);
     if kind == ArtifactKind::Result {
         core.live().remove(hash);
+    }
+    let key = filter_key(hash.as_bytes(), kind.salt());
+    if core.filters().tail.remove(&key) && core.artifact_path(hash, kind).exists() {
+        core.filters().tail.insert(key);
     }
 }
 
@@ -1192,6 +1226,30 @@ impl JobStore for DiskStore {
         ]);
         append(&self.core, &mut inner, &record, true);
         id
+    }
+
+    fn submit_hits(&self, hits: Vec<(SpecHash, Arc<JobResult>)>) -> Vec<u64> {
+        if hits.is_empty() {
+            return Vec::new();
+        }
+        let mut inner = self.core.inner();
+        let ids = hits
+            .into_iter()
+            .map(|(hash, result)| {
+                let id = inner.table.submit_hit(hash, Some(result));
+                let record = obj(vec![
+                    ("t", Json::str("hit")),
+                    ("id", Json::num(id as f64)),
+                    ("hash", Json::str(hash.to_hex())),
+                ]);
+                buffer_record(&mut inner, &record);
+                id
+            })
+            .collect();
+        // One flush + fsync for all of them.
+        commit_log(&mut inner, true);
+        maybe_rotate(&self.core, &mut inner);
+        ids
     }
 
     fn start(&self, id: u64) -> Option<JobSpec> {
@@ -1702,7 +1760,7 @@ fn list_model_files(dir: &Path) -> Vec<(String, String)> {
 pub fn encode_result(result: &JobResult) -> Vec<u8> {
     let mut out = Vec::new();
     // Writes into a Vec cannot fail.
-    let _ = writeln!(out, "marioh-result v{STORE_FORMAT_VERSION}");
+    let _ = writeln!(out, "marioh-result v{RESULT_FORMAT_VERSION}");
     let _ = writeln!(out, "jaccard_bits {}", result.jaccard.to_bits());
     let _ = hio::write_hypergraph(&result.reconstruction, &mut out);
     out
@@ -1767,7 +1825,7 @@ fn read_result(mut input: impl BufRead) -> Result<JobResult, MariohError> {
     if header
         .strip_prefix("marioh-result v")
         .and_then(|v| v.parse::<u32>().ok())
-        .is_none_or(|v| v == 0 || v > STORE_FORMAT_VERSION)
+        .is_none_or(|v| v == 0 || v > RESULT_FORMAT_VERSION)
     {
         return Err(corrupt(format!("not a marioh result file: {header:?}")));
     }
@@ -1812,12 +1870,12 @@ fn get_spec(v: &Json) -> Result<JobSpec, MariohError> {
     JobSpec::from_json(spec).map_err(|e| corrupt(format!("store record has an invalid spec: {e}")))
 }
 
-/// Writes a v2 snapshot: header, a meta line carrying the lifetime
-/// counters **and the WAL sequence watermark**, the artifact index in
-/// LRU order (oldest first, so replay reconstructs the eviction order),
-/// then job records — terminal ones in completion order, live ones by
-/// id. tmp + fsync + rename, so a crash leaves either the old or the
-/// new snapshot, never a torn one.
+/// Writes a snapshot (one layout since v2): header, a meta line
+/// carrying the lifetime counters **and the WAL sequence watermark**,
+/// the artifact index in LRU order (oldest first, so replay
+/// reconstructs the eviction order), then job records — terminal ones
+/// in completion order, live ones by id. tmp + fsync + rename, so a
+/// crash leaves either the old or the new snapshot, never a torn one.
 fn write_snapshot(
     path: &Path,
     table: &RecordTable,
@@ -1886,9 +1944,9 @@ fn write_snapshot(
     Ok(())
 }
 
-/// Reads a v2 (or legacy v1) snapshot into `table` and `art`, returning
-/// the WAL sequence watermark (0 for v1 snapshots, which predate the
-/// WAL).
+/// Reads a snapshot (current, v2 or legacy v1) into `table` and `art`,
+/// returning the WAL sequence watermark (0 for v1 snapshots, which
+/// predate the WAL).
 fn read_snapshot(
     path: &Path,
     table: &mut RecordTable,
@@ -1900,8 +1958,8 @@ fn read_snapshot(
         .next()
         .ok_or_else(|| corrupt("empty store snapshot"))?;
     let expected = format!("{} snapshot", format_tag());
-    let v1_expected = format!("{V1_TAG} snapshot");
-    if header.trim() != expected && header.trim() != v1_expected {
+    let older = [V1_TAG, V2_TAG].map(|tag| format!("{tag} snapshot"));
+    if header.trim() != expected && !older.iter().any(|h| header.trim() == h) {
         return Err(corrupt(format!(
             "snapshot header {header:?} does not match {expected:?} — migrate the state dir first"
         )));
@@ -1998,8 +2056,8 @@ fn replay_legacy_log(path: &Path, table: &mut RecordTable) -> Result<(), MariohE
     Ok(())
 }
 
-/// Applies one replayed WAL record (v2 segments carry the v1 job
-/// records plus `artifact`/`evict` index records).
+/// Applies one replayed WAL record: the v1 job records, the v2
+/// `artifact`/`evict` index records, or a v3 `hit`.
 fn apply_wal_record(
     table: &mut RecordTable,
     art: &mut ArtState,
@@ -2027,6 +2085,10 @@ fn apply_job_record(table: &mut RecordTable, record: &Json) -> Result<(), Marioh
     match get_str(record, "t")? {
         "submit" => {
             table.insert_with_id(id, Record::queued(get_spec(record)?, get_hash(record)?));
+        }
+        "hit" => {
+            // Like a replayed `done`: the result loads lazily by hash.
+            table.insert_with_id(id, Record::hit(get_hash(record)?, None));
         }
         "start" => {
             table.transition(id, Transition::Start);
@@ -2727,6 +2789,178 @@ mod tests {
         assert!(store.core.live().contains_key(&second));
         assert!(store.core.live().len() <= store.core.art().index.len());
         assert_eq!(Arc::strong_count(&held), 1, "the index took a strong ref");
+    }
+
+    /// Every WAL payload under `dir`, in sequence order.
+    fn wal_payloads(dir: &Path) -> Vec<String> {
+        let mut seqs: Vec<u64> = fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .filter_map(|e| parse_segment_file_name(e.ok()?.file_name().to_str()?))
+            .collect();
+        seqs.sort_unstable();
+        seqs.into_iter()
+            .flat_map(|first| {
+                let path = dir.join("wal").join(segment_file_name(first));
+                read_segment(&path, first).unwrap().records
+            })
+            .map(|(_, payload)| String::from_utf8(payload).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn cache_hits_log_one_spec_less_record_and_replay_as_cached_done_jobs() {
+        let dir = tmp_dir("hits");
+        let (s, h) = spec(r#"{"dataset": "Hosts", "seed": 3}"#);
+        let (first, hits) = {
+            let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+            let first = store.submit(&s, &h);
+            store.start(first).unwrap();
+            let r = result();
+            store.put_result(&h, &r).unwrap();
+            store.transition(
+                first,
+                Transition::Done {
+                    result: r,
+                    cached: false,
+                },
+            );
+            let logged = wal_payloads(&dir).len();
+            let hit = store.get_result(&h).unwrap();
+            let hits = store.submit_hits(vec![(h, Arc::clone(&hit)), (h, Arc::clone(&hit))]);
+            assert_eq!(hits, vec![first + 1, first + 2]);
+            let payloads = wal_payloads(&dir);
+            assert_eq!(
+                payloads[logged..],
+                hits.iter()
+                    .map(|id| format!(r#"{{"t":"hit","id":{id},"hash":"{h}"}}"#))
+                    .collect::<Vec<_>>()
+            );
+            for id in &hits {
+                let view = store.view(*id).unwrap();
+                assert_eq!((view.status, view.cached), (JobStatus::Done, true));
+                assert!(store.core.inner().table.get(*id).unwrap().spec.is_none());
+                assert!(Arc::ptr_eq(&store.result(*id).unwrap().1.unwrap(), &hit));
+            }
+            let counters = store.counters();
+            assert_eq!((counters.submitted, counters.finished), (3, 3));
+            (first, hits)
+        };
+
+        // Replayed from the WAL, then again from a compacted snapshot.
+        for compacted in [false, true] {
+            let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+            let counters = store.counters();
+            assert_eq!((counters.submitted, counters.finished), (3, 3));
+            assert!(!store.view(first).unwrap().cached);
+            let shared = store.get_result(&h).unwrap();
+            for id in &hits {
+                let view = store.view(*id).unwrap();
+                assert_eq!((view.status, view.cached), (JobStatus::Done, true));
+                assert!(store.core.inner().table.get(*id).unwrap().spec.is_none());
+                let (_, loaded) = store.result(*id).unwrap();
+                assert!(Arc::ptr_eq(&loaded.unwrap(), &shared));
+            }
+            if !compacted {
+                store.compact_now().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_v2_state_dir_opens_under_v3_unchanged() {
+        let dir = tmp_dir("v2");
+        fs::create_dir_all(dir.join("artifacts").join("results")).unwrap();
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        let (done_spec, done_hash) = spec(r#"{"dataset": "Hosts", "seed": 5}"#);
+        let (queued_spec, queued_hash) = spec(r#"{"dataset": "Hosts", "seed": 6}"#);
+        fs::write(dir.join("VERSION"), "marioh-store v2\n").unwrap();
+        let meta = obj(vec![
+            ("t", Json::str("meta")),
+            ("submitted", Json::num(0.0)),
+            ("finished", Json::num(0.0)),
+            ("wal_seq", Json::num(0.0)),
+        ]);
+        fs::write(
+            dir.join("jobs.snapshot"),
+            format!("marioh-store v2 snapshot\n{meta}\n"),
+        )
+        .unwrap();
+        let container = encode_result_container(&result());
+        fs::write(
+            dir.join("artifacts")
+                .join("results")
+                .join(format!("{done_hash}.result")),
+            &container,
+        )
+        .unwrap();
+        // What a v2 build logged: a run, then a cache hit as a submit +
+        // cached done pair, then a queued job.
+        let submit = |id: f64, s: &JobSpec, h: &SpecHash| {
+            obj(vec![
+                ("t", Json::str("submit")),
+                ("id", Json::num(id)),
+                ("hash", Json::str(h.to_hex())),
+                ("spec", s.to_json()),
+            ])
+        };
+        let done = |id: f64, cached: bool| {
+            obj(vec![
+                ("t", Json::str("done")),
+                ("id", Json::num(id)),
+                ("cached", Json::Bool(cached)),
+            ])
+        };
+        let mut wal = SegmentWriter::create(&dir.join("wal"), 1).unwrap();
+        for record in [
+            submit(1.0, &done_spec, &done_hash),
+            obj(vec![("t", Json::str("start")), ("id", Json::num(1.0))]),
+            obj(vec![
+                ("t", Json::str("artifact")),
+                ("kind", Json::str("result")),
+                ("hash", Json::str(done_hash.to_hex())),
+                ("bytes", Json::num(container.len() as f64)),
+            ]),
+            done(1.0, false),
+            submit(2.0, &done_spec, &done_hash),
+            done(2.0, true),
+            submit(3.0, &queued_spec, &queued_hash),
+        ] {
+            wal.append(record.to_string().as_bytes()).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+        let wal_before = wal_payloads(&dir);
+
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+        // Stamped v3 at open, so a v2 build refuses the dir from now on;
+        // nothing else was rewritten.
+        assert_eq!(
+            fs::read_to_string(dir.join("VERSION")).unwrap(),
+            "marioh-store v3\n"
+        );
+        assert!(fs::read_to_string(dir.join("jobs.snapshot"))
+            .unwrap()
+            .starts_with("marioh-store v2 snapshot\n"));
+        assert_eq!(wal_payloads(&dir), wal_before);
+        assert_eq!(store.recover_queued(), vec![3]);
+        for (id, cached) in [(1, false), (2, true)] {
+            let view = store.view(id).unwrap();
+            assert_eq!((view.status, view.cached), (JobStatus::Done, cached));
+            let (_, loaded) = store.result(id).unwrap();
+            assert_eq!(loaded.unwrap().reconstruction, result().reconstruction);
+        }
+        let counters = store.counters();
+        assert_eq!((counters.submitted, counters.finished), (3, 2));
+        assert_eq!(store.artifact_stats().results, 1);
+
+        // A v3 hit on the migrated dir replays next to the v2 records.
+        let hit = store.get_result(&done_hash).unwrap();
+        let id = store.submit_hits(vec![(done_hash, hit)])[0];
+        drop(store);
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(16, 1 << 20)).unwrap();
+        assert!(store.view(id).unwrap().cached);
+        assert_eq!(store.view(3).unwrap().status, JobStatus::Queued);
+        assert_eq!(store.counters().submitted, 4);
     }
 
     #[test]

@@ -328,19 +328,32 @@ impl Parser<'_> {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Only `"`, `\` and the C0
+/// controls are escaped, and all of them are ASCII, so every run of
+/// bytes between two of them is copied with one `write_str` and always
+/// ends on a char boundary.
 fn escape_into(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
     out.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{c}")?,
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escaped.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escaped)?;
         }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_str("\"")
 }
 

@@ -73,6 +73,14 @@ pub trait JobStore: Send + Sync {
     /// Persists a new `Queued` record and returns its id (ids ascend).
     fn submit(&self, spec: &JobSpec, hash: &SpecHash) -> u64;
 
+    /// Records submissions answered from the artifact cache: one record
+    /// per item, `Done` and `cached` on arrival, returning their ids in
+    /// order. Equivalent to [`JobStore::submit`] then a cached
+    /// [`Transition::Done`], but the record never holds the spec, so a
+    /// durable store logs one small record per hit (no spec) and pays
+    /// one flush + fsync per call.
+    fn submit_hits(&self, hits: Vec<(SpecHash, Arc<JobResult>)>) -> Vec<u64>;
+
     /// Marks a queued job `Running` and yields a clone of its spec. The
     /// store keeps its own copy while the job runs — a compaction
     /// snapshot must be able to persist in-flight jobs so a crash
@@ -270,6 +278,20 @@ impl Record {
             cached: false,
         }
     }
+
+    /// A cache hit: done and cached on arrival, with no spec.
+    pub(crate) fn hit(hash: SpecHash, result: Option<Arc<JobResult>>) -> Record {
+        Record {
+            spec: None,
+            hash,
+            status: JobStatus::Done,
+            rounds: 0,
+            committed: 0,
+            error: None,
+            result,
+            cached: true,
+        }
+    }
 }
 
 /// The record bookkeeping shared by the memory and disk stores: id
@@ -319,6 +341,14 @@ impl RecordTable {
     pub(crate) fn submit(&mut self, spec: JobSpec, hash: SpecHash) -> u64 {
         let id = self.next_id;
         self.insert_with_id(id, Record::queued(spec, hash));
+        id
+    }
+
+    /// Inserts a [`Record::hit`] under the next id; it counts as both
+    /// submitted and finished.
+    pub(crate) fn submit_hit(&mut self, hash: SpecHash, result: Option<Arc<JobResult>>) -> u64 {
+        let id = self.next_id;
+        self.insert_with_id(id, Record::hit(hash, result));
         id
     }
 
@@ -571,6 +601,18 @@ impl Default for MemoryStore {
 impl JobStore for MemoryStore {
     fn submit(&self, spec: &JobSpec, hash: &SpecHash) -> u64 {
         self.table().submit(spec.clone(), *hash)
+    }
+
+    fn submit_hits(&self, hits: Vec<(SpecHash, Arc<JobResult>)>) -> Vec<u64> {
+        hits.into_iter()
+            .map(|(hash, result)| {
+                // As for `Done`: the record reads the cached artifact,
+                // which the hit came from (stored here if it did not).
+                self.put_result(&hash, &result)
+                    .expect("memory store put cannot fail");
+                self.table().submit_hit(hash, None)
+            })
+            .collect()
     }
 
     fn start(&self, id: u64) -> Option<JobSpec> {

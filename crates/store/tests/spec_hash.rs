@@ -277,3 +277,26 @@ proptest! {
         prop_assert_ne!(forward, hash_of(&body(&extra.join("\n"))));
     }
 }
+
+/// The canonical encoding is the key of every cached artifact on every
+/// state dir ever written: these literal hashes must never move, however
+/// the encoder is implemented. A change here orphans every cached
+/// result and model (bump `CANONICAL_FORMAT_VERSION` instead, on
+/// purpose).
+#[test]
+fn canonical_hashes_of_fixed_specs_are_pinned() {
+    let edges = "# a comment line\n2 0 1 2\n1 3 1\n4000000000 7 4294967294 12\n1 5 9 10 11\n";
+    let edges_body = format!(
+        r#"{{"edges": {}, "method": "MARIOH-B", "seed": 11, "params": {{"theta_init": 0.75}}}}"#,
+        Json::str(edges)
+    );
+    let dataset_body = r#"{"dataset": "Hosts", "seed": 7, "params": {"alpha": 0.5}}"#;
+    assert_eq!(
+        hash_of(&edges_body).to_hex(),
+        "1c71a08185528b7fafca83035ad2c64ba4d7c6467b800602f34588a8611ef30b"
+    );
+    assert_eq!(
+        hash_of(dataset_body).to_hex(),
+        "5f9e4f500a24a1cf53b7888ae28caa97fc49d13d10a7e0f59612b13d63fec275"
+    );
+}
