@@ -8,10 +8,12 @@
 //!   v2 store performs on first contact, which is exactly the cost a
 //!   deployment pays once; every open after that is the v2 number.
 //! * **Negative probes** — `get_result` misses against a populated
-//!   artifact cache, with the xor filter on (default) and off. A
-//!   filtered miss is answered from an in-memory fingerprint table; an
-//!   unfiltered miss pays a file-open syscall to learn the same thing.
-//!   The committed baseline is gated on the filter winning by >= 5x.
+//!   artifact cache, with the index answer on (default) and off
+//!   (`set_filter_enabled`). A filtered miss is answered from the
+//!   store's in-memory artifact index; an unfiltered miss pays a file
+//!   stat to learn the same thing. The committed baseline is gated on
+//!   the index winning by >= 5x. The JSON keys keep their `filtered`
+//!   names.
 //! * **Compaction pause** — `compact_now` folding a WAL that tiny
 //!   segment caps have split into many sealed segments. Compaction runs
 //!   on a background thread in production; the pause here is the

@@ -54,6 +54,11 @@ pub fn push_u32(out: &mut Vec<u8>, mut v: u32) {
 }
 
 /// Reads a hypergraph written by [`write_hypergraph`].
+///
+/// Besides malformed lines, refuses node id `u32::MAX` (the universe
+/// size `max + 1` must fit a `u32`) and a repeated edge whose summed
+/// multiplicity would pass `u32::MAX`, each as
+/// [`HypergraphError::Parse`] naming the line.
 pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError> {
     let mut h = Hypergraph::new(0);
     let mut input = BufReader::new(reader);
@@ -78,12 +83,18 @@ pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError
             });
         }
         let nodes: Vec<NodeId> = tokens
-            .map(|t| parse_token(Some(t), lineno, "node id").map(NodeId))
+            .map(|t| parse_node(Some(t), lineno, "node id").map(NodeId))
             .collect::<Result<_, _>>()?;
         let edge = Hyperedge::new(nodes).ok_or_else(|| HypergraphError::Parse {
             line: lineno,
             message: "hyperedge needs at least 2 distinct nodes".into(),
         })?;
+        if h.multiplicity(&edge).checked_add(mult).is_none() {
+            return Err(HypergraphError::Parse {
+                line: lineno,
+                message: format!("multiplicity of repeated hyperedge passes {}", u32::MAX),
+            });
+        }
         h.add_edge_with_multiplicity(edge, mult);
     }
     Ok(h)
@@ -101,8 +112,12 @@ pub fn write_graph<W: Write>(g: &ProjectedGraph, writer: W) -> Result<(), Hyperg
 }
 
 /// Reads a projected graph written by [`write_graph`].
+///
+/// Besides malformed lines, refuses node id `u32::MAX` and a repeated
+/// pair whose summed weight would pass `u32::MAX`, each as
+/// [`HypergraphError::Parse`] naming the line.
 pub fn read_graph<R: Read>(reader: R) -> Result<ProjectedGraph, HypergraphError> {
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+    let mut edges: Vec<(u32, u32, u32, usize)> = Vec::new();
     let mut max_node = 0u32;
     let mut input = BufReader::new(reader);
     let mut line = String::new();
@@ -118,8 +133,8 @@ pub fn read_graph<R: Read>(reader: R) -> Result<ProjectedGraph, HypergraphError>
             continue;
         }
         let mut tokens = trimmed.split_ascii_whitespace();
-        let u: u32 = parse_token(tokens.next(), lineno, "u")?;
-        let v: u32 = parse_token(tokens.next(), lineno, "v")?;
+        let u = parse_node(tokens.next(), lineno, "u")?;
+        let v = parse_node(tokens.next(), lineno, "v")?;
         let w: u32 = parse_token(tokens.next(), lineno, "weight")?;
         if u == v {
             return Err(HypergraphError::Parse {
@@ -134,11 +149,18 @@ pub fn read_graph<R: Read>(reader: R) -> Result<ProjectedGraph, HypergraphError>
             });
         }
         max_node = max_node.max(u).max(v);
-        edges.push((u, v, w));
+        edges.push((u, v, w, lineno));
     }
     let mut g = ProjectedGraph::new(if edges.is_empty() { 0 } else { max_node + 1 });
-    for (u, v, w) in edges {
-        g.add_edge_weight(NodeId(u), NodeId(v), w);
+    for (u, v, w, line) in edges {
+        let (u, v) = (NodeId(u), NodeId(v));
+        if g.weight(u, v).checked_add(w).is_none() {
+            return Err(HypergraphError::Parse {
+                line,
+                message: format!("weight of repeated pair passes {}", u32::MAX),
+            });
+        }
+        g.add_edge_weight(u, v, w);
     }
     Ok(g)
 }
@@ -161,6 +183,19 @@ pub fn save_graph<P: AsRef<Path>>(g: &ProjectedGraph, path: P) -> Result<(), Hyp
 /// Convenience: read a projected graph from a file path.
 pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<ProjectedGraph, HypergraphError> {
     read_graph(std::fs::File::open(path)?)
+}
+
+/// A node id below `u32::MAX`: the universe holds ids `0..=max`, and its
+/// size must fit a `u32`.
+fn parse_node(token: Option<&str>, line: usize, what: &str) -> Result<u32, HypergraphError> {
+    let id: u32 = parse_token(token, line, what)?;
+    if id == u32::MAX {
+        return Err(HypergraphError::Parse {
+            line,
+            message: format!("{what} {id} is out of range (largest is {})", u32::MAX - 1),
+        });
+    }
+    Ok(id)
 }
 
 fn parse_token<T: std::str::FromStr>(
@@ -318,6 +353,29 @@ mod tests {
             read_graph("1 2".as_bytes()),
             Err(HypergraphError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn rejects_ids_and_sums_that_overflow_u32() {
+        let parse_line = |r: Result<(), HypergraphError>| match r {
+            Err(HypergraphError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let hyper = |text: &str| read_hypergraph(text.as_bytes()).map(|_| ());
+        let graph = |text: &str| read_graph(text.as_bytes()).map(|_| ());
+        // Node u32::MAX would make the universe u32::MAX + 1 nodes.
+        assert_eq!(parse_line(hyper("1 0 4294967295")), 1);
+        assert_eq!(parse_line(graph("4294967295 0 1")), 1);
+        assert_eq!(parse_line(graph("# c\n0 4294967295 1")), 2);
+        // Repeated records whose summed count passes u32::MAX.
+        assert_eq!(parse_line(hyper("4294967295 0 1\n1 1 0")), 2);
+        assert_eq!(parse_line(graph("0 1 4294967295\n2 3 1\n1 0 1")), 3);
+        // The largest id and a sum of exactly u32::MAX still read.
+        let h = read_hypergraph("4294967294 0 4294967294\n1 0 4294967294".as_bytes()).unwrap();
+        assert_eq!(h.num_nodes(), u32::MAX);
+        assert_eq!(h.total_edge_count(), u64::from(u32::MAX));
+        let g = read_graph("0 1 4294967294\n1 0 1".as_bytes()).unwrap();
+        assert_eq!(g.weight(NodeId(0), NodeId(1)), u32::MAX);
     }
 
     #[test]

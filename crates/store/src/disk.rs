@@ -1,6 +1,6 @@
 //! The durable store: a segmented, CRC-framed WAL + snapshot for job
 //! records, and content-addressed compressed artifact files for results
-//! and models, fronted by an approximate-membership filter.
+//! and models, tracked by an in-memory artifact index.
 //!
 //! # Layout (under `--state-dir`)
 //!
@@ -10,8 +10,6 @@
 //!   jobs.snapshot                   compacted state + WAL watermark
 //!   wal/
 //!     seg-<first-seq>.wal           CRC-framed record segments
-//!     seg-<first-seq>.filter        xor filter over a sealed segment
-//!     base.filter                   xor filter rebuilt at compaction
 //!   artifacts/
 //!     results/<spec-hash>.result    cached reconstructions (compressed)
 //!     models/<spec-hash>.model      models trained by jobs (compressed)
@@ -34,12 +32,16 @@
 //! crash order merely leaves an orphan artifact that the next identical
 //! submission reuses.
 //!
-//! # Filtered probes, compression, eviction
+//! # Indexed probes, compression, eviction
 //!
-//! Artifact cache probes consult an in-memory xor [`crate::filter`]
-//! layer first (tail set + sealed-segment filters + base filter): a
-//! negative answer — the common case on a fresh corpus — returns
-//! without touching disk. Artifacts are stored as compressed containers
+//! Artifact cache probes ask the in-memory artifact index first — the
+//! same map that drives eviction and the byte totals, rebuilt at open
+//! from the snapshot and WAL replay. A key it does not hold is a
+//! definitive negative — the common case on a fresh corpus — answered
+//! without touching disk; a key it holds is confirmed on disk, and an
+//! entry whose file is gone (an eviction record lost to a crash) is
+//! dropped there. The `marioh_store_filter_*` counters count these
+//! answers. Artifacts are stored as compressed containers
 //! ([`crate::compress`]); v1 plain files are still read transparently.
 //! A byte budget ([`StoreTuning::budget`]) drives least-recently-used
 //! eviction across result and model artifacts, with terminal job
@@ -47,7 +49,7 @@
 //!
 //! A result artifact is decoded at most once while anyone holds it: a
 //! live-result index (hash → `Weak`) hands every later cache hit and
-//! lazy record load the copy already in memory, after the same filter
+//! lazy record load the copy already in memory, after the same index
 //! and presence checks, so retained records of one spec share one
 //! hypergraph.
 //!
@@ -68,15 +70,15 @@
 //! otherwise). v1 state dirs migrate in place at open: the legacy
 //! `jobs.log` is replayed once, the artifact index is seeded from a
 //! directory scan, and a snapshot replaces both. v2 dirs open as they
-//! are; only their `VERSION` is rewritten.
+//! are; only their `VERSION` is rewritten. A writer open also deletes
+//! the `wal/*.filter` files older builds wrote next to their segments.
 
 use crate::compress;
-use crate::filter::{filter_key, XorFilter};
 use crate::hash::SpecHash;
 use crate::json::Json;
 use crate::segment::{
-    filter_file_name, parse_segment_file_name, read_segment, segment_file_name, SegmentWriter,
-    FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
+    parse_segment_file_name, read_segment, segment_file_name, SegmentWriter, FRAME_OVERHEAD,
+    SEGMENT_HEADER_LEN,
 };
 use crate::spec::{JobResult, JobSpec, JobStatus, JobView, Transition};
 use crate::store::{
@@ -85,7 +87,7 @@ use crate::store::{
 };
 use marioh_core::{MariohError, SavedModel};
 use marioh_hypergraph::io as hio;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -114,7 +116,10 @@ const V2_TAG: &str = "marioh-store v2";
 /// Version of the logical result encoding ([`encode_result`]'s
 /// `marioh-result vN` header). Unchanged since store v2: store v3 only
 /// added a WAL record type.
-const RESULT_FORMAT_VERSION: u32 = 2;
+///
+/// Bumping this constant requires a migration note in
+/// `crates/store/FORMATS.md`.
+pub(crate) const RESULT_FORMAT_VERSION: u32 = 2;
 
 /// Header line of a compressed result container; the body is one
 /// [`compress`] block holding exactly the [`encode_result`] bytes.
@@ -215,15 +220,6 @@ impl ArtifactKind {
             _ => None,
         }
     }
-
-    /// Per-kind filter salt: a cached *model* for a spec must not make
-    /// the *result* probe for the same spec a guaranteed false positive.
-    fn salt(self) -> u64 {
-        match self {
-            ArtifactKind::Result => 0x5245_534C_u64,
-            ArtifactKind::Model => 0x4D4F_444C_u64,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -234,7 +230,8 @@ struct ArtEntry {
 
 /// The in-memory artifact index: what is on disk, how big it is
 /// encoded, and in what recency order — the eviction policy's whole
-/// world. Rebuilt at open from the snapshot's `art` records plus WAL
+/// world, and the exact membership test every cache probe asks before
+/// disk. Rebuilt at open from the snapshot's `art` records plus WAL
 /// replay.
 #[derive(Debug, Default, Clone)]
 struct ArtState {
@@ -296,47 +293,6 @@ impl ArtState {
     }
 }
 
-/// The layered membership filter the probe paths consult before disk:
-/// exact tail set (current segment), one xor filter per sealed segment,
-/// and a base filter over everything older (rebuilt at compaction).
-/// `may_contain` false means *definitely absent*.
-#[derive(Debug)]
-struct FilterSet {
-    base: Option<XorFilter>,
-    sealed: Vec<(u64, XorFilter)>,
-    tail: HashSet<u64>,
-    enabled: bool,
-}
-
-impl FilterSet {
-    fn new() -> FilterSet {
-        FilterSet {
-            base: None,
-            sealed: Vec::new(),
-            tail: HashSet::new(),
-            enabled: true,
-        }
-    }
-
-    fn may_contain(&self, key: u64) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        self.tail.contains(&key)
-            || self.sealed.iter().any(|(_, f)| f.may_contain(key))
-            || self.base.as_ref().is_some_and(|f| f.may_contain(key))
-    }
-}
-
-fn build_base_filter(art: &ArtState) -> XorFilter {
-    let keys: Vec<u64> = art
-        .index
-        .keys()
-        .map(|(hash, kind)| filter_key(hash.as_bytes(), kind.salt()))
-        .collect();
-    XorFilter::build(&keys)
-}
-
 /// A sealed (no longer appended-to) WAL segment.
 #[derive(Debug, Clone)]
 struct SealedSegment {
@@ -377,9 +333,7 @@ struct CompactSignal {
 /// compactor thread holds an `Arc<StoreCore>` (not the `DiskStore`), so
 /// dropping the store can signal shutdown and join without a cycle.
 ///
-/// Lock order: `inner` before `filters` (rotation seals the tail filter
-/// while holding `inner`); `art` and `live` are taken alone; never take
-/// `inner` or `art` while holding `filters`.
+/// Lock order: `inner`, `art` and `live` are each taken alone.
 struct StoreCore {
     root: PathBuf,
     wal_dir: PathBuf,
@@ -387,7 +341,9 @@ struct StoreCore {
     read_only: bool,
     inner: Mutex<DiskInner>,
     art: Mutex<ArtState>,
-    filters: Mutex<FilterSet>,
+    /// Cleared by [`DiskStore::set_filter_enabled`]: every probe then
+    /// goes to disk, whatever the index says.
+    filter_enabled: AtomicBool,
     overlay: Mutex<ArtifactOverlay>,
     /// The live-result index: the one decoded copy of each on-disk
     /// result that some job record (or caller) still holds. It never
@@ -414,10 +370,6 @@ impl StoreCore {
 
     fn art(&self) -> MutexGuard<'_, ArtState> {
         self.art.lock().expect("artifact index lock poisoned")
-    }
-
-    fn filters(&self) -> MutexGuard<'_, FilterSet> {
-        self.filters.lock().expect("filter set lock poisoned")
     }
 
     fn overlay(&self) -> MutexGuard<'_, ArtifactOverlay> {
@@ -683,7 +635,6 @@ impl DiskStore {
                 // carries nothing; a writer clears it out of the way.
                 if !read_only {
                     let _ = fs::remove_file(&path);
-                    let _ = fs::remove_file(wal_dir.join(filter_file_name(first_seq)));
                 }
                 continue;
             }
@@ -732,8 +683,9 @@ impl DiskStore {
             Some(SegmentWriter::create(&wal_dir, expected_next)?)
         };
 
-        let mut filters = FilterSet::new();
-        filters.base = Some(build_base_filter(&art));
+        if !read_only {
+            remove_legacy_filter_files(&wal_dir);
+        }
 
         marioh_obs::global()
             .gauge("marioh_store_segments")
@@ -751,7 +703,7 @@ impl DiskStore {
                 degraded: Arc::clone(&degraded),
             }),
             art: Mutex::new(art),
-            filters: Mutex::new(filters),
+            filter_enabled: AtomicBool::new(true),
             overlay: Mutex::new(ArtifactOverlay::default()),
             live: Mutex::new(HashMap::new()),
             degraded,
@@ -787,9 +739,9 @@ impl DiskStore {
     }
 
     /// Runs one compaction synchronously: snapshot everything applied
-    /// so far (with the WAL watermark), retire fully-covered sealed
-    /// segments, and rebuild the base filter. The background compactor
-    /// calls this; tests and benches call it directly for determinism.
+    /// so far (with the WAL watermark) and retire fully-covered sealed
+    /// segments. The background compactor calls this; tests and
+    /// benches call it directly for determinism.
     ///
     /// # Errors
     ///
@@ -800,11 +752,11 @@ impl DiskStore {
         compact(&self.core)
     }
 
-    /// Turns the membership filter on or off at runtime (benches
-    /// measure the unfiltered floor this way). Disabled means every
-    /// probe goes to disk, exactly the v1 behavior.
+    /// Turns the index answer for cache probes on or off at runtime
+    /// (benches measure the unfiltered floor this way). Disabled means
+    /// every probe goes to disk, exactly the v1 behavior.
     pub fn set_filter_enabled(&self, enabled: bool) {
-        self.core.filters().enabled = enabled;
+        self.core.filter_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Sealed (rotation-completed, not yet compacted) segment count.
@@ -884,33 +836,15 @@ fn compact(core: &StoreCore) -> Result<(), MariohError> {
     compact_fault_op()?;
 
     // The snapshot now covers every record <= upto, so segments wholly
-    // below the watermark are dead weight; retire them and their
-    // filters.
-    let retired: Vec<u64> = sealed_snapshot
-        .iter()
-        .filter(|s| s.last_seq <= upto)
-        .map(|s| s.first_seq)
-        .collect();
-    for first_seq in &retired {
-        let _ = fs::remove_file(core.wal_dir.join(segment_file_name(*first_seq)));
-        let _ = fs::remove_file(core.wal_dir.join(filter_file_name(*first_seq)));
+    // below the watermark are dead weight; retire them.
+    for s in sealed_snapshot.iter().filter(|s| s.last_seq <= upto) {
+        let _ = fs::remove_file(core.wal_dir.join(segment_file_name(s.first_seq)));
     }
     let live_segments = {
         let mut inner = core.inner();
         inner.sealed.retain(|s| s.last_seq > upto);
         inner.sealed.len() + 1
     };
-
-    let new_base = build_base_filter(&art);
-    let base_tmp = core.wal_dir.join("base.filter.tmp");
-    if fs::write(&base_tmp, new_base.to_bytes()).is_ok() {
-        let _ = fs::rename(&base_tmp, core.wal_dir.join("base.filter"));
-    }
-    {
-        let mut filters = core.filters();
-        filters.base = Some(new_base);
-        filters.sealed.retain(|(first, _)| !retired.contains(first));
-    }
 
     let obs = marioh_obs::global();
     obs.counter("marioh_store_compactions_total").inc();
@@ -1012,9 +946,8 @@ fn commit_log(inner: &mut DiskInner, durable: bool) {
 }
 
 /// Rotates the tail segment once it crosses the byte cap: fsync it,
-/// seal its filter (persisted best-effort next to it), and start a
-/// fresh segment at the next sequence number. Called with `inner` held;
-/// takes `filters` inside (the one permitted nesting).
+/// seal it, and start a fresh segment at the next sequence number.
+/// Called with `inner` held.
 fn maybe_rotate(core: &StoreCore, inner: &mut DiskInner) {
     if inner.degraded.load(Ordering::Relaxed) {
         return;
@@ -1032,20 +965,6 @@ fn maybe_rotate(core: &StoreCore, inner: &mut DiskInner) {
     let first_seq = wal.first_seq();
     let last_seq = wal.next_seq() - 1;
     let next_seq = wal.next_seq();
-
-    let sealed_filter = {
-        let mut filters = core.filters();
-        let keys: Vec<u64> = filters.tail.iter().copied().collect();
-        let built = XorFilter::build(&keys);
-        filters.tail.clear();
-        filters.sealed.push((first_seq, built.clone()));
-        built
-    };
-    // Best-effort persistence: a missing or torn filter file only costs
-    // a rebuild from the index at the next open.
-    let filter_path = core.wal_dir.join(filter_file_name(first_seq));
-    let _ = fs::write(&filter_path, sealed_filter.to_bytes());
-
     inner.sealed.push(SealedSegment {
         first_seq,
         last_seq,
@@ -1111,14 +1030,11 @@ fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// Registers a freshly landed artifact: index + tail filter first, then
-/// the WAL record (that order is what makes the compactor's
-/// inner-then-art clone sequence lossless), then budget enforcement.
+/// Registers a freshly landed artifact: index first, then the WAL
+/// record (that order is what makes the compactor's inner-then-art
+/// clone sequence lossless), then budget enforcement.
 fn note_artifact(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind, bytes: u64) {
     core.art().insert(*hash, kind, bytes);
-    core.filters()
-        .tail
-        .insert(filter_key(hash.as_bytes(), kind.salt()));
     let record = obj(vec![
         ("t", Json::str("artifact")),
         ("kind", Json::str(kind.tag())),
@@ -1133,9 +1049,10 @@ fn note_artifact(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind, bytes: u
 }
 
 /// Evicts least-recently-used artifacts while the byte budget is
-/// exceeded. The file is deleted *before* the evict record is logged:
-/// the worst crash leaves a stale index entry (one wasted probe, healed
-/// lazily), never a resurrected artifact.
+/// exceeded. The index entry goes first, so a probe after the eviction
+/// is answered from memory. The file is deleted *before* the evict
+/// record is logged: the worst crash leaves a stale index entry (one
+/// wasted probe, healed lazily), never a resurrected artifact.
 fn enforce_budget(core: &StoreCore) {
     let Some(budget) = core.tuning.budget else {
         return;
@@ -1154,12 +1071,6 @@ fn enforce_budget(core: &StoreCore) {
         if kind == ArtifactKind::Result {
             core.live().remove(&hash);
         }
-        // Out of the tail set before the file goes, so a probe after the
-        // eviction is a filter negative. A concurrent put that lands the
-        // artifact again re-inserts its key after writing the file.
-        core.filters()
-            .tail
-            .remove(&filter_key(hash.as_bytes(), kind.salt()));
         let _ = fs::remove_file(core.artifact_path(&hash, kind));
         let obs = marioh_obs::global();
         obs.counter_with("marioh_store_evictions_total", &[("kind", kind.tag())])
@@ -1176,12 +1087,12 @@ fn enforce_budget(core: &StoreCore) {
     }
 }
 
-/// Consults the filter layer for one probe, emitting the filter metric
-/// for the outcome. Returns `false` when the artifact is definitively
-/// absent.
+/// Asks the artifact index whether one probe may hit, emitting the
+/// filter metric for the outcome. Returns `false` when the artifact is
+/// definitively absent.
 fn filter_admits(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) -> bool {
-    let key = filter_key(hash.as_bytes(), kind.salt());
-    let admitted = core.filters().may_contain(key);
+    let admitted = !core.filter_enabled.load(Ordering::Relaxed)
+        || core.art().index.contains_key(&(*hash, kind));
     let name = if admitted {
         "marioh_store_filter_passed_total"
     } else {
@@ -1193,24 +1104,38 @@ fn filter_admits(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) -> bool 
     admitted
 }
 
-/// Records a filter false positive: the filter said maybe, the disk
-/// said no. Drops any stale index entry (e.g. an eviction whose WAL
-/// record was lost to a crash) so the next rebuild forgets it, and the
-/// key from the exact tail set so the next probe stops at the filter.
-/// A put can land the artifact meanwhile, so the key goes back if the
-/// file is there after the removal (a put inserts its key only after
-/// writing the file, so one of the two always restores it).
+/// Records a filter false positive: the index said present, the disk
+/// said no. Drops the stale index entry (e.g. an eviction whose WAL
+/// record was lost to a crash) so the next probe is answered from
+/// memory. A put can land the artifact meanwhile; it writes the file
+/// before it inserts the entry, so checking the file under the index
+/// lock keeps an entry whose file is there.
 fn note_filter_fp(core: &StoreCore, hash: &SpecHash, kind: ArtifactKind) {
     marioh_obs::global()
         .counter_with("marioh_store_filter_fp_total", &[("kind", kind.tag())])
         .inc();
-    core.art().remove(*hash, kind);
     if kind == ArtifactKind::Result {
         core.live().remove(hash);
     }
-    let key = filter_key(hash.as_bytes(), kind.salt());
-    if core.filters().tail.remove(&key) && core.artifact_path(hash, kind).exists() {
-        core.filters().tail.insert(key);
+    let mut art = core.art();
+    if !core.artifact_path(hash, kind).exists() {
+        art.remove(*hash, kind);
+    }
+}
+
+/// Deletes the `wal/*.filter` files (per-segment and base xor filters)
+/// that builds before the index answered probes wrote. They were never
+/// read back, so they go without a format change.
+fn remove_legacy_filter_files(wal_dir: &Path) {
+    let Ok(entries) = fs::read_dir(wal_dir) else {
+        return;
+    };
+    for entry in entries.filter_map(|e| e.ok()) {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".filter") || name.ends_with(".filter.tmp") {
+            let _ = fs::remove_file(entry.path());
+        }
     }
 }
 
@@ -1313,7 +1238,7 @@ impl JobStore for DiskStore {
         // Replayed done record: load the artifact lazily — the shared
         // copy when a live one exists — outside the table lock, then
         // memoize. This read is keyed by a known done record — not a
-        // speculative cache probe — so it bypasses the filter.
+        // speculative cache probe — so it bypasses the index check.
         let overlaid = self.core.overlay().results.get(&hash).cloned();
         let Some(arc) = overlaid.or_else(|| self.core.load_result(&hash).ok()) else {
             return Some((status, None));
@@ -2629,18 +2554,10 @@ mod tests {
             0,
             "compaction retires every fully-snapshotted segment"
         );
-        // On disk: exactly one (tail) segment plus the base filter.
-        let wal_files: Vec<String> = fs::read_dir(dir.join("wal"))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(
-            wal_files.iter().filter(|f| f.ends_with(".wal")).count(),
-            1,
-            "{wal_files:?}"
-        );
-        assert!(wal_files.iter().any(|f| f == "base.filter"));
+        // On disk: exactly one (tail) segment and nothing else.
+        let wal_files = wal_file_names(&dir);
+        assert_eq!(wal_files.len(), 1, "{wal_files:?}");
+        assert!(wal_files[0].ends_with(".wal"), "{wal_files:?}");
         drop(store);
 
         let store = DiskStore::open_tuned(&dir, tiny_tuning(64, 256)).unwrap();
@@ -2653,6 +2570,52 @@ mod tests {
             );
         }
         assert_eq!(store.artifact_stats().results, 3);
+    }
+
+    fn wal_file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_dir_with_filter_files_from_older_builds_opens_and_drops_them() {
+        let dir = tmp_dir("legacy-filters");
+        let hashes: Vec<SpecHash> = (0..4)
+            .map(|i| spec(&format!(r#"{{"dataset": "Hosts", "seed": {i}}}"#)).1)
+            .collect();
+        {
+            let store = DiskStore::open_tuned(&dir, tiny_tuning(64, 256)).unwrap();
+            for h in &hashes {
+                store.put_result(h, &result()).unwrap();
+            }
+        }
+        // What older builds left next to the segments: one xor filter per
+        // sealed segment, the base filter, and a torn base-filter write.
+        let wal = dir.join("wal");
+        let first = parse_segment_file_name(&wal_file_names(&dir)[0]).unwrap();
+        fs::write(wal.join(format!("seg-{first:016x}.filter")), b"xorf").unwrap();
+        fs::write(wal.join("base.filter"), b"xorf").unwrap();
+        fs::write(wal.join("base.filter.tmp"), b"xo").unwrap();
+
+        let store = DiskStore::open_tuned(&dir, tiny_tuning(64, 256)).unwrap();
+        let wal_files = wal_file_names(&dir);
+        assert!(
+            wal_files.iter().all(|f| f.ends_with(".wal")),
+            "{wal_files:?}"
+        );
+        for h in &hashes {
+            assert!(store.contains_result(h));
+            assert!(store.get_result(h).is_some());
+        }
+        let (_, ghost) = spec(r#"{"dataset": "Hosts", "seed": 999}"#);
+        assert!(!store.contains_result(&ghost));
+        assert!(store.get_result(&ghost).is_none());
+        assert!(store.get_model(&hashes[0]).is_none());
     }
 
     #[test]

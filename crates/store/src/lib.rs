@@ -33,7 +33,6 @@
 
 pub mod compress;
 pub mod disk;
-pub mod filter;
 pub mod hash;
 pub mod json;
 pub mod segment;
@@ -63,6 +62,7 @@ mod format_guard {
         for (what, version) in [
             ("store", crate::STORE_FORMAT_VERSION),
             ("model", marioh_core::MODEL_FORMAT_VERSION),
+            ("result", crate::disk::RESULT_FORMAT_VERSION),
         ] {
             let heading = format!("## {what} v{version}");
             assert!(

@@ -70,11 +70,6 @@ pub fn segment_file_name(first_seq: u64) -> String {
     format!("seg-{first_seq:016x}.wal")
 }
 
-/// Companion persisted xor filter for a sealed segment.
-pub fn filter_file_name(first_seq: u64) -> String {
-    format!("seg-{first_seq:016x}.filter")
-}
-
 /// Parse `seg-<hex>.wal` back to its first sequence number.
 pub fn parse_segment_file_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("seg-")?.strip_suffix(".wal")?;

@@ -32,6 +32,12 @@ pub const MAX_THROTTLE_MS: u64 = 60_000;
 /// Cap on the per-job [`JobSpec::timeout_secs`] deadline (one day).
 pub const MAX_TIMEOUT_SECS: u64 = 86_400;
 
+/// Cap on the node universe (largest node id + 1) of an uploaded edge
+/// list. A reconstruction allocates per-node state for the whole
+/// universe, so one large id in a tiny upload would ask for gigabytes;
+/// the cap is 43x the largest registry universe (DBLP at scale 1).
+pub const MAX_UPLOAD_NODES: u32 = 1 << 24;
+
 /// Version tag embedded in the canonical encoding; bump it if the
 /// canonical field set ever changes meaning (old cached artifacts then
 /// stop matching instead of matching wrongly).
@@ -448,13 +454,33 @@ impl JobSpec {
         b
     }
 
-    /// Runs the pipeline builder's validation over the overrides.
+    /// Runs the pipeline builder's validation over the overrides, and
+    /// bounds an uploaded edge list: its node universe by
+    /// [`MAX_UPLOAD_NODES`], and its total multiplicity by `u32::MAX`
+    /// (every projected pair weight is at most that total, so the
+    /// projection cannot wrap a `u32` weight).
     ///
     /// # Errors
     ///
-    /// Exactly the [`MariohError::Config`] the builder produces — the
-    /// HTTP layer forwards its message verbatim as the 400 body.
+    /// [`MariohError::Config`]: exactly the one the builder produces,
+    /// or one naming the bound an upload passes — the HTTP layer
+    /// forwards its message verbatim as the 400 body.
     pub fn validate(&self) -> Result<(), MariohError> {
+        if let JobInput::Edges(h) = &self.input {
+            if h.num_nodes() > MAX_UPLOAD_NODES {
+                return Err(MariohError::Config(format!(
+                    "invalid edge list: node id {} is too large (node ids must be below {MAX_UPLOAD_NODES})",
+                    h.num_nodes() - 1
+                )));
+            }
+            if h.total_edge_count() > u64::from(u32::MAX) {
+                return Err(MariohError::Config(format!(
+                    "invalid edge list: total multiplicity {} is above {}",
+                    h.total_edge_count(),
+                    u32::MAX
+                )));
+            }
+        }
         self.apply(Pipeline::builder()).build().map(|_| ())
     }
 
@@ -795,6 +821,26 @@ mod tests {
             let err = parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_universe_and_total_multiplicity_of_uploads() {
+        let upload = |edges: &str| {
+            parse(&format!(r#"{{"edges": {}}}"#, Json::str(edges)))
+                .unwrap()
+                .validate()
+                .map_err(|e| e.to_string())
+        };
+        let largest = MAX_UPLOAD_NODES - 1;
+        assert!(upload(&format!("1 0 {largest}")).is_ok());
+        let err = upload(&format!("1 0 {MAX_UPLOAD_NODES}")).unwrap_err();
+        assert!(
+            err.contains(&format!("node id {MAX_UPLOAD_NODES} is too large")),
+            "{err}"
+        );
+        assert!(upload("4294967294 0 1\n1 1 2").is_ok());
+        let err = upload("4294967294 0 1\n2 1 2").unwrap_err();
+        assert!(err.contains("total multiplicity 4294967296"), "{err}");
     }
 
     #[test]

@@ -195,10 +195,10 @@ pub trait ArtifactStore: Send + Sync {
     /// The cached result for a spec hash, if any.
     fn get_result(&self, hash: &SpecHash) -> Option<Arc<JobResult>>;
 
-    /// Cheap presence probe: may return a false positive (an
-    /// implementation backed by an approximate-membership filter
-    /// answers from memory), never a false negative for a result that
-    /// [`ArtifactStore::get_result`] would find. Dispatch lookaside
+    /// Cheap presence probe: never a false negative for a result that
+    /// [`ArtifactStore::get_result`] would find, and no decode (the
+    /// disk store answers a miss from its in-memory artifact index and
+    /// a hit with one file stat). Dispatch lookaside
     /// paths call this first so the common cache-miss case skips the
     /// full artifact fetch and decode.
     fn contains_result(&self, hash: &SpecHash) -> bool {

@@ -195,3 +195,27 @@ fn a_cache_hit_on_an_85_kb_upload_writes_one_small_record_and_one_fsync() {
     assert!(hit_record < 256, "the hit record is {hit_record} bytes");
     assert!(store.view(ids[0]).unwrap().cached);
 }
+
+#[test]
+fn a_result_evicted_after_compaction_is_a_filter_negative() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let size = {
+        let store = DiskStore::open_tuned(tmp_dir("compact-size"), tuning(None)).unwrap();
+        store.put_result(&hash(200), &result()).unwrap();
+        store.artifact_stats().result_bytes
+    };
+    // Room for one result artifact, not two.
+    let store =
+        DiskStore::open_tuned(tmp_dir("compact-evict"), tuning(Some(size + size / 2))).unwrap();
+    let (first, second) = (hash(11), hash(12));
+    store.put_result(&first, &result()).unwrap();
+    store.compact_now().unwrap();
+    store.put_result(&second, &result()).unwrap();
+
+    // The compacted artifact was evicted: the probe is answered from
+    // memory, with no disk stat and no false positive.
+    let before = counts();
+    assert!(store.get_result(&first).is_none());
+    assert!(!store.contains_result(&first));
+    assert_eq!(delta(before), [0, 2, 0, 2, 0]);
+}

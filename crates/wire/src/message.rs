@@ -75,7 +75,7 @@ pub enum Message {
         /// Content address the payload belongs under (echoed from
         /// `Dispatch` so the merge path never guesses).
         spec_hash: [u8; 32],
-        /// Encoded result artifact (`marioh-result v1` bytes).
+        /// Encoded result artifact (`marioh-result v2` bytes).
         payload: Vec<u8>,
         /// Freshly trained model worth persisting, if any.
         model: Option<Vec<u8>>,

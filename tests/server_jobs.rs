@@ -307,6 +307,43 @@ fn bad_hyperparameters_round_trip_the_builder_message_as_400() {
 }
 
 #[test]
+fn oversized_or_overflowing_uploads_are_400s() {
+    let server = start(1, 4);
+    let addr = server.local_addr();
+
+    // Each upload would crash a job (or the process) if it were run: a
+    // 4e9-node universe, u32 ids and counts that wrap.
+    for (edges, needle) in [
+        ("1 0 4000000000", "node id 4000000000 is too large"),
+        (
+            "4294967295 0 1\n1 0 2",
+            "total multiplicity 4294967296 is above",
+        ),
+        ("1 0 4294967295", "out of range"),
+        ("4294967295 0 1\n1 1 0", "repeated hyperedge passes"),
+    ] {
+        let body = format!(r#"{{"edges": {}}}"#, Json::str(edges));
+        let response = client::post(addr, "/jobs", &body).expect("submit");
+        assert_eq!(response.status, 400, "{edges:?}: {}", response.body);
+        let error = response
+            .json()
+            .expect("valid JSON")
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error field")
+            .to_owned();
+        assert!(
+            error.starts_with("invalid edge list") && error.contains(needle),
+            "{edges:?}: {error}"
+        );
+    }
+
+    let stats = client::get(addr, "/stats").expect("stats").json().unwrap();
+    assert_eq!(stats.get("jobs_submitted").and_then(Json::as_u64), Some(0));
+    server.shutdown();
+}
+
+#[test]
 fn uploaded_edge_lists_reconstruct_and_shutdown_cancels_in_flight_jobs() {
     let server = start(1, 8);
     let addr = server.local_addr();
